@@ -445,8 +445,8 @@ fn streaming_replay_baselines(out: &mut Vec<BaselinePoint>) {
 
 /// Routing-pass cost at fleet depth: one epoch batch of 4096 arrivals routed
 /// against 64 instances via [`Cluster::route_preview`], reported per arrival.
-/// The sticky entry exercises the stamped arithmetic fast path; the cache-aware
-/// entry pays per-arrival block hashing plus the 64-instance prefix probe.
+/// The sticky entry pays one user-pin lookup per arrival; the cache-aware entry
+/// pays per-arrival block hashing plus the 64-instance prefix probe.
 fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
     let spec = SharedPrefixFleetSpec {
         num_cohorts: 64,
@@ -463,7 +463,7 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
     };
     for (name, routing) in [
         (
-            "serving/routing_pass/sticky_stamped_64i_per_arrival",
+            "serving/routing_pass/sticky_64i_per_arrival",
             prefillonly::RoutingPolicyKind::StickyUser,
         ),
         (
@@ -473,8 +473,8 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
     ] {
         let config = fleet_config(routing, 640);
         let mut scoped = Vec::new();
-        // A fresh cluster per sample: route_preview advances router state, and the
-        // sticky fast path must see the batch's stamps as a fresh history.
+        // A fresh cluster per sample: route_preview advances router state, and
+        // every sample must see the batch's users as new.
         measure(
             &mut scoped,
             name,
@@ -534,10 +534,9 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
 }
 
 /// Epoch-boundary snapshot cost at fleet depth: what 64 instances pay to receive
-/// their visibility-filtered view of a populated shared network tier — the legacy
-/// full clone ([`kvcache::NetKvPool::visible_snapshot`], one deep copy of every
-/// resident entry per instance per epoch) against the copy-on-write delta view
-/// ([`kvcache::NetKvPool::view_at`], an `Arc` bump plus the publish-log filter).
+/// their visibility-filtered copy-on-write view of a populated shared network
+/// tier ([`kvcache::NetKvPool::view_at`], an `Arc` bump plus the publish-log
+/// filter).
 fn epoch_snapshot_baselines(out: &mut Vec<BaselinePoint>) {
     const BLOCK_BYTES: u64 = 16 * 128 * 1024;
     let net_blocks = 16_384u64;
@@ -564,17 +563,6 @@ fn epoch_snapshot_baselines(out: &mut Vec<BaselinePoint>) {
         );
     }
     let visible_at = SimTime::from_millis(100_150);
-    measure(
-        out,
-        "serving/epoch_snapshot_64i/full_clone",
-        samples(9),
-        || (),
-        |()| {
-            (0..64usize)
-                .map(|id| pool.visible_snapshot(visible_at, id))
-                .collect::<Vec<_>>()
-        },
-    );
     measure(
         out,
         "serving/epoch_snapshot_64i/delta",

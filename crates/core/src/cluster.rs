@@ -6,26 +6,55 @@
 //! times) against the deployment and produces the [`RunReport`] every figure of the
 //! evaluation is computed from.
 //!
-//! # Parallel replay and windowed routing
+//! # Replay: one core, two clocks
 //!
-//! No event ever crosses instances: an `Admit` or `Complete` event only touches the
-//! instance that produced it.  Replicated deployments therefore factor into
-//! independent per-instance event loops, and [`Cluster::run`] simulates them on
-//! parallel OS threads — one per instance — then merges the per-instance records
-//! deterministically.  The result is *identical* (records, makespan, cache
-//! statistics) to the single-threaded interleaved loop, which is kept as
-//! [`Cluster::run_sequential`] and enforced by the
-//! `parallel_run_is_identical_to_sequential` test.
+//! Every entry point — [`Cluster::run`], [`Cluster::run_sorted`],
+//! [`Cluster::run_stream`] and their sequential flavours — drives one replay loop.
+//! A materialised trace becomes a [`SliceArrivalStream`] whose ids are the trace
+//! indices.  The loop pulls one *epoch* of arrivals, routes it, simulates strictly to
+//! the epoch boundary and repeats.  Peak arrival memory is O(largest epoch), which
+//! is what lets a million-request trace replay in a few hundred megabytes.
 //!
-//! Routing is what could break that factoring: a policy that consults instance state
-//! mid-window would couple the per-instance loops.  Instead, every `run` call is one
-//! *replay window*: the configured [`RoutingPolicy`](crate::routing) routes **all**
+//! Routing is what could couple the instances: a policy that consults instance
+//! state mid-epoch would tie the per-instance loops together.  Instead, the
+//! configured [`RoutingPolicy`](crate::routing) routes **all** of an epoch's
 //! arrivals up front, in `(arrival time, trace index)` order, against a
-//! [`RouterSnapshot`](crate::routing::RouterSnapshot) of the window-start state
+//! [`RouterSnapshot`](crate::routing::RouterSnapshot) of the epoch-start state
 //! (modelled loads updated with the pass's own decisions; frozen three-tier prefix
-//! probes for cache-aware policies) — mirroring the snapshot-install/merge discipline
-//! of the shared network KV tier.  Both replay paths run the identical pass, so the
-//! partition, and hence the replay, is byte-identical.
+//! probes for cache-aware policies) — mirroring the snapshot-install/merge
+//! discipline of the shared network KV tier.  One [`RoutingScratch`] is reused
+//! across epochs, so steady-state routing allocates nothing.
+//!
+//! Epoch boundaries come from one of two clocks:
+//!
+//! * **The unbounded clock.**  A materialised trace on a deployment that needs no
+//!   boundaries (no propagation epochs, no membership changes, no disaggregated
+//!   roles) is one epoch that never ends: routed once against the window-start
+//!   snapshot, simulated to completion, its tier snapshots installed and merged
+//!   once.  Such a replay records no window samples.
+//! * **The epoch clock** ([`EpochLengthPolicy`]).  Propagation epochs cut at
+//!   [`EngineConfig::net_propagation_ms`]; a stream without them is chunked
+//!   towards a fixed arrival count per chunk, for bounded memory only.  The next
+//!   epoch's length is a pure function of the configuration and the arrival
+//!   counts of *completed* epochs, so parallel and sequential replay (and any
+//!   rerun) cut identically, and a materialised trace on such a deployment cuts
+//!   the same boundaries as its stream.  Without the shared tier the chunk cadence
+//!   is a routing-snapshot cadence only: state-dependent policies see refreshed
+//!   loads per chunk, and the tier snapshots are installed once up front and
+//!   merged once at the end.
+//!
+//! No event ever crosses instances within an epoch: an `Admit` or `Complete` event
+//! only touches the instance that produced it.  The parallel flavour therefore
+//! simulates each instance's loop on a persistent worker pool and merges the
+//! records deterministically; the result is *identical* (records, makespan, cache
+//! statistics) to the single-threaded interleaved loop of
+//! [`Cluster::run_sequential`], enforced by the
+//! `parallel_run_is_identical_to_sequential` test.  Why the per-instance loops are
+//! sound: within one instance, the global loop pops that instance's events in
+//! `(time, push order)` — and the per-instance loop pushes the same events in the
+//! same relative order, because an instance's pushes happen only while handling
+//! that same instance's events.  Projecting the global FIFO-within-timestamp order
+//! onto one instance therefore yields exactly the per-instance order.
 //!
 //! # Propagation epochs (`net_propagation_ms > 0`)
 //!
@@ -33,7 +62,7 @@
 //! deterministic *propagation epochs* of that length.  Each epoch repeats the window
 //! discipline in miniature, in lockstep across all instances:
 //!
-//! 1. every instance receives a [`NetKvPool::visible_snapshot`] of the shared tier —
+//! 1. every instance receives a view of the shared tier ([`NetKvPool::view_at`]) —
 //!    the entries whose publish time (`spill time + delay`) has passed the epoch
 //!    start;
 //! 2. the epoch's arrivals are routed in `(arrival time, trace index)` order against
@@ -67,35 +96,6 @@
 //! they reach idle.  Slots are never removed or renumbered, which keeps every
 //! queued event's instance tag stable.  See `ARCHITECTURE.md` ("Membership
 //! events") for the full determinism argument.
-//!
-//! # Streaming replay
-//!
-//! [`Cluster::run_stream`] replays an [`ArrivalStream`] — a generator of
-//! event-time-ordered, stamped arrivals — without ever materialising the trace:
-//! arrivals are pulled lazily, buffered one epoch at a time, routed per epoch
-//! (reusing one [`RoutingScratch`] across epochs, so steady-state routing
-//! allocates nothing), and simulated strictly to the epoch boundary.  Peak
-//! arrival memory is O(largest epoch), which is what lets a million-request
-//! trace replay in a few hundred megabytes instead of tens of gigabytes.
-//!
-//! Epoch boundaries come from an adaptive clock ([`EpochLengthPolicy`]): the
-//! next epoch's length is a pure function of the configuration and the arrival
-//! counts of *completed* epochs — shorter under burst, longer when idle — so
-//! parallel and sequential replay (and any rerun) cut the stream identically and
-//! the byte-identity guarantee carries over unchanged.  Deployments with
-//! propagation epochs replay byte-identically to [`Cluster::run`] on the
-//! materialised trace; without the shared tier the chunk cadence is a
-//! routing-snapshot cadence only (state-dependent policies see refreshed loads
-//! per chunk, which whole-window replay by design does not), and the tier
-//! snapshots are installed once up front and merged once at the end, exactly as
-//! a single window.
-//!
-//! Why the per-instance loops are sound: within one instance, the global loop pops
-//! that instance's events in `(time, push order)` — and the per-instance loop pushes
-//! the same events in the same relative order, because an instance's pushes happen
-//! only while handling that same instance's events.  Projecting the global
-//! FIFO-within-timestamp order onto one instance therefore yields exactly the
-//! per-instance order.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -131,6 +131,9 @@ const STREAM_CHUNK_TARGET_ARRIVALS: u64 = 4_096;
 /// chunk (and hence the arrival buffer) without bound.
 const STREAM_CHUNK_MAX_MS: u64 = 60_000;
 
+/// The boundary of the unbounded epoch clock: later than any arrival.
+const END_OF_TIME: SimTime = SimTime::from_micros(u64::MAX);
+
 /// Why a workload could not be replayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunError {
@@ -163,8 +166,8 @@ impl std::error::Error for RunError {}
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// The request at this index (into the window's trace, or the current epoch's
-    /// batch on the streaming path) reaches the router.
+    /// The request at this position of the current epoch's batch reaches its
+    /// instance.
     Arrival(usize),
     /// An instance may be able to admit another request.
     Admit(usize),
@@ -183,30 +186,11 @@ enum InstanceEvent {
     Complete(u64),
 }
 
-/// One window's routing outcome: a decision per trace index, plus the
-/// `(arrival time, index)` iteration order the pass used (`None` = the trace was
-/// already sorted, so the order is the identity).
-struct RoutedWindow {
-    decisions: Vec<RoutingDecision>,
-    order: Option<Vec<usize>>,
-    /// Block-hash chains the routing pass computed to probe instances (per trace
-    /// index; empty when the policy needed none), handed to `enqueue` so the tokens
-    /// are hashed once, not twice.
-    hashes: Vec<Option<Arc<Vec<kvcache::TokenBlockHash>>>>,
-}
-
-impl RoutedWindow {
-    /// Takes the routing-time hash chain of one arrival, if any was computed.
-    fn take_hashes(&mut self, idx: usize) -> Option<Arc<Vec<kvcache::TokenBlockHash>>> {
-        self.hashes.get_mut(idx).and_then(Option::take)
-    }
-}
-
 /// One routed arrival of an instance's replay partition.  Owns what simulation
 /// needs (token ownership is an `Arc` bump, not a copy), so the streaming path
 /// can refill partitions per epoch without borrowing from an epoch-lived buffer.
 struct PartitionEntry {
-    /// Stream-wide request id (the arrival's trace index on the slice path).
+    /// Stream-wide request id (the arrival's trace index for a materialised trace).
     request_id: u64,
     /// Why routing placed it on this instance.
     reason: RoutingReason,
@@ -218,8 +202,6 @@ struct PartitionEntry {
     tokens: Arc<Vec<u32>>,
     /// Of `tokens`, the trailing count decoded iteratively (0 = prefill-only).
     decode_tokens: u64,
-    /// When the request arrives.
-    arrival: SimTime,
 }
 
 /// Reusable buffers of a routing pass.  Epoch-driven replay routes thousands of
@@ -278,6 +260,21 @@ impl EpochClock {
             len_ms,
             boundary: SimTime::ZERO + SimDuration::from_millis(len_ms),
         }
+    }
+
+    /// The clock of a single-window replay: one epoch that never ends, so every
+    /// arrival is routed against the window-start snapshot and the epoch is
+    /// simulated to completion.
+    fn unbounded() -> EpochClock {
+        EpochClock {
+            policy: EpochLengthPolicy::Fixed,
+            len_ms: 0,
+            boundary: END_OF_TIME,
+        }
+    }
+
+    fn is_unbounded(&self) -> bool {
+        self.boundary == END_OF_TIME
     }
 
     /// End of the current epoch (exclusive: the epoch covers arrivals strictly
@@ -660,21 +657,10 @@ impl Cluster {
                 .with_propagation_delay(SimDuration::from_millis(config.net_propagation_ms))
         });
         let attached = net_pool.is_some();
-        let mut router = config
+        let router = config
             .routing
             .build(num_instances)
             .expect("validate() guarantees at least one instance");
-        if config.disaggregated() {
-            // Dedicated roles make the routable set a strict subset of the fleet
-            // from the very first arrival: retire the stamped arithmetic fast
-            // paths (which partition modulo *all* slots and would route onto
-            // decode-only instances) exactly as a membership event would, and
-            // pin routing to the prefill-capable slots.
-            let routable: Vec<usize> = (0..num_instances)
-                .filter(|&slot| config.role_of(slot).can_prefill())
-                .collect();
-            router.note_membership_change(&routable);
-        }
         Ok(Cluster {
             config,
             instances,
@@ -858,7 +844,7 @@ impl Cluster {
     /// are pulled incrementally, buffered one epoch at a time, routed per epoch and
     /// simulated to the epoch boundary, so peak arrival memory is O(largest epoch)
     /// regardless of trace length — the million-request replay path (see the module
-    /// docs, "Streaming replay").
+    /// docs, "Replay: one core, two clocks").
     ///
     /// Deployments with propagation epochs enabled replay **byte-identically** to
     /// [`Self::run`] on the materialised trace (same boundaries, same per-epoch
@@ -884,7 +870,8 @@ impl Cluster {
         stream: &mut S,
         offered_qps: f64,
     ) -> Result<RunReport, RunError> {
-        self.run_stream_core(stream, offered_qps, true)
+        let clock = self.stream_clock();
+        self.run_stream_core(stream, clock, offered_qps, true)
     }
 
     /// The single-threaded reference flavour of [`Self::run_stream`].
@@ -893,12 +880,15 @@ impl Cluster {
         stream: &mut S,
         offered_qps: f64,
     ) -> Result<RunReport, RunError> {
-        self.run_stream_core(stream, offered_qps, false)
+        let clock = self.stream_clock();
+        self.run_stream_core(stream, clock, offered_qps, false)
     }
 
-    /// The shared materialised-trace replay: epoch-sharing deployments stream the
-    /// slice (identical boundaries and routing cadence to [`Self::run_stream`]);
-    /// everything else takes the historical single-pass window.
+    /// The shared materialised-trace replay: the slice streams through
+    /// [`Self::run_stream_core`].  Deployments that need epoch boundaries
+    /// (propagation epochs, membership changes, a disaggregated fleet) cut the
+    /// same boundaries as [`Self::run_stream`]; everything else replays as one
+    /// window on the unbounded clock.
     fn run_vec(
         &mut self,
         arrivals: &[ArrivalPattern],
@@ -906,114 +896,39 @@ impl Cluster {
         offered_qps: f64,
         parallel: bool,
     ) -> RunReport {
-        if self.uses_propagation_epochs() || self.elastic_replay() || self.fleet_disaggregated() {
-            let mut stream = if sorted {
-                SliceArrivalStream::from_sorted(arrivals)
-            } else {
-                SliceArrivalStream::sorting(arrivals)
-            };
-            return self
-                .run_stream_core(&mut stream, offered_qps, parallel)
-                .expect("feasibility is checked before streaming a slice");
-        }
-        self.install_net_snapshots();
-
-        // Route every arrival up front against the window-start snapshot (see the
-        // module docs) in `(arrival time, index)` order — exactly the order the
-        // sequential event loop pops arrival events.
-        let mut routed = self.route_window(arrivals, sorted);
-
-        let records = if parallel {
-            // Each instance's partition holds owned `(request id, reason,
-            // routing-time hashes, user, tokens, arrival)` entries, sorted by
-            // `(arrival time, id)`.
-            let mut partitions: Vec<Vec<PartitionEntry>> =
-                (0..self.instances.len()).map(|_| Vec::new()).collect();
-            let order = routed.order.take();
-            let mut push = |idx: usize| {
-                let decision = routed.decisions[idx];
-                let arrival = &arrivals[idx];
-                partitions[decision.instance].push(PartitionEntry {
-                    request_id: idx as u64,
-                    reason: decision.reason,
-                    hashes: routed.take_hashes(idx),
-                    user_id: arrival.template.user_id,
-                    tokens: Arc::clone(&arrival.template.tokens),
-                    decode_tokens: arrival.template.decode_tokens,
-                    arrival: arrival.arrival,
-                });
-            };
-            match &order {
-                None => (0..arrivals.len()).for_each(&mut push),
-                Some(order) => order.iter().copied().for_each(&mut push),
-            }
-
-            let mut per_instance: Vec<Vec<RequestRecord>> =
-                Vec::with_capacity(self.instances.len());
-            if self.instances.len() == 1 {
-                per_instance.push(Self::simulate_instance(
-                    &mut self.instances[0],
-                    &partitions[0],
-                ));
-            } else {
-                per_instance.resize_with(self.instances.len(), Vec::new);
-                if self.worker_pool.is_none() {
-                    self.worker_pool = Some(WorkerPool::new());
-                }
-                let pool = self.worker_pool.as_ref().expect("just ensured above");
-                let jobs: Vec<ScopedJob> = self
-                    .instances
-                    .iter_mut()
-                    .zip(&partitions)
-                    .zip(&mut per_instance)
-                    .map(|((instance, partition), records)| {
-                        Box::new(move || {
-                            *records = Self::simulate_instance(instance, partition);
-                        }) as ScopedJob
-                    })
-                    .collect();
-                pool.run_batch(jobs);
-            }
-            per_instance.into_iter().flatten().collect()
+        let mut stream = if sorted {
+            SliceArrivalStream::from_sorted(arrivals)
         } else {
-            // The identical routing pass feeds one global event loop: decisions are
-            // a pure function of the window-start snapshot, so pre-routing changes
-            // nothing relative to routing at event-pop time.
-            let mut events: EventQueue<Event> = EventQueue::new();
-            for (idx, arrival) in arrivals.iter().enumerate() {
-                events.push(arrival.arrival, Event::Arrival(idx));
-            }
-            let mut records: Vec<RequestRecord> = Vec::with_capacity(arrivals.len());
-            self.run_global_events_until(
-                arrivals,
-                &routed.decisions,
-                &mut routed.hashes,
-                &mut events,
-                &mut records,
-                None,
-            );
-            records
+            SliceArrivalStream::sorting(arrivals)
         };
-
-        self.merge_net_snapshots();
-        self.finish_report(records, offered_qps)
+        let clock = if self.uses_propagation_epochs()
+            || self.elastic_replay()
+            || self.fleet_disaggregated()
+        {
+            self.stream_clock()
+        } else {
+            EpochClock::unbounded()
+        };
+        self.run_stream_core(&mut stream, clock, offered_qps, parallel)
+            .expect("feasibility is checked before streaming a slice")
     }
 
-    /// The streaming replay loop shared by both flavours (see the module docs,
-    /// "Streaming replay"): pull one epoch of arrivals, route it, simulate strictly
-    /// to the epoch boundary, repeat.  Epoch-sharing deployments additionally
-    /// install/merge tier snapshots at every boundary; everything else installs
-    /// once up front and merges once at the end (chunk boundaries are then only a
-    /// routing-snapshot and barrier cadence).
+    /// The one replay loop behind every entry point (see the module docs,
+    /// "Replay: one core, two clocks"): pull one epoch of arrivals, route it,
+    /// simulate strictly to the epoch boundary, repeat.  Epoch-sharing deployments
+    /// additionally install/merge tier snapshots at every boundary; everything else
+    /// installs once up front and merges once at the end (chunk boundaries are then
+    /// only a routing-snapshot and barrier cadence).  On the unbounded clock the
+    /// whole stream is one epoch, simulated to completion.
     fn run_stream_core<S: ArrivalStream + ?Sized>(
         &mut self,
         stream: &mut S,
+        mut clock: EpochClock,
         offered_qps: f64,
         parallel: bool,
     ) -> Result<RunReport, RunError> {
         let num_instances = self.instances.len();
         let epoch_sharing = self.uses_propagation_epochs();
-        let mut clock = self.stream_clock();
         if epoch_sharing {
             // Spills of earlier windows have long since crossed the fabric: only
             // this window's spills are subject to the propagation delay (and
@@ -1137,7 +1052,6 @@ impl Cluster {
                         user_id: streamed.arrival.template.user_id,
                         tokens: Arc::clone(&streamed.arrival.template.tokens),
                         decode_tokens: streamed.arrival.template.decode_tokens,
-                        arrival: streamed.arrival.arrival,
                     });
                     queues[decision.instance].push(
                         streamed.arrival.arrival,
@@ -1205,7 +1119,8 @@ impl Cluster {
             if epoch_sharing {
                 self.merge_net_snapshots();
             }
-            if self.config.track_window_metrics {
+            // An unbounded epoch has no boundary to sample at.
+            if self.config.track_window_metrics && !clock.is_unbounded() {
                 self.sample_window(boundary);
             }
             if final_epoch {
@@ -1270,8 +1185,8 @@ impl Cluster {
     }
 
     /// Routes one epoch's batch into `scratch` (a decision per batch position, plus
-    /// the hash chains computed for probing): tries the stamped arithmetic fast
-    /// path first, then falls back to the snapshot pass — reusing the scratch's
+    /// the hash chains computed for probing) against a snapshot of the epoch-start
+    /// state, in `(arrival time, stream id)` order — reusing the scratch's
     /// load/probe buffers so steady-state routing allocates nothing per epoch.
     fn route_stream_epoch(&mut self, batch: &[StreamedArrival], scratch: &mut RoutingScratch) {
         let num_instances = self.instances.len();
@@ -1290,12 +1205,6 @@ impl Cluster {
             .hashes
             .resize(if needs_probe { batch.len() } else { 0 }, None);
         if batch.is_empty() {
-            return;
-        }
-        if self
-            .router
-            .route_stamped_batch(batch, num_instances, &mut scratch.decisions)
-        {
             return;
         }
 
@@ -1335,7 +1244,7 @@ impl Cluster {
     /// Runs one routing pass over a batch without simulating it — the benchmark
     /// hook behind the `routing_pass` µs/arrival metric.  Reuses `scratch` exactly
     /// as replay does, so the measurement sees steady-state allocation behaviour.
-    /// Note that the router's persistent state (sticky pins, rank history) advances
+    /// Note that the router's persistent state (sticky pins) advances
     /// with every call, exactly as it would during replay.
     pub fn route_preview(&mut self, batch: &[StreamedArrival], scratch: &mut RoutingScratch) {
         self.route_stream_epoch(batch, scratch);
@@ -1377,9 +1286,10 @@ impl Cluster {
         .with_routable_slots(self.prefill_capable_slots())
     }
 
-    /// The sequential streaming event loop of one epoch: like
-    /// [`Self::run_global_events_until`], but arrival events index the epoch's
-    /// batch (ids come from the stream) and decisions/hashes live in the scratch.
+    /// The sequential flavour's global (all-instance) event loop over one epoch,
+    /// run strictly up to `boundary` (forever when `None`): arrival events index
+    /// the epoch's batch, decisions and hashes live in the scratch, and events at
+    /// or past the boundary stay queued for the next epoch.
     fn run_stream_events_until(
         &mut self,
         batch: &[StreamedArrival],
@@ -1433,183 +1343,16 @@ impl Cluster {
         }
     }
 
-    /// Runs the global (all-instance) event loop strictly up to `boundary` (forever
-    /// when `None`) — the sequential analogue of [`Self::simulate_instance_until`]:
-    /// events scheduled at or past the boundary stay queued for the next
-    /// propagation epoch.
-    fn run_global_events_until(
-        &mut self,
-        arrivals: &[ArrivalPattern],
-        decisions: &[RoutingDecision],
-        routed_hashes: &mut [Option<Arc<Vec<kvcache::TokenBlockHash>>>],
-        events: &mut EventQueue<Event>,
-        records: &mut Vec<RequestRecord>,
-        boundary: Option<SimTime>,
-    ) {
-        while let Some(at) = events.peek_time() {
-            if boundary.is_some_and(|b| at >= b) {
-                break;
-            }
-            let scheduled = events.pop().expect("peeked event");
-            let now = scheduled.at;
-            match scheduled.event {
-                Event::Arrival(idx) => {
-                    let arrival = &arrivals[idx];
-                    let decision = decisions[idx];
-                    let instance_idx = decision.instance;
-                    let request = PrefillRequest {
-                        id: idx as u64,
-                        user_id: arrival.template.user_id,
-                        tokens: Arc::clone(&arrival.template.tokens),
-                        decode_tokens: arrival.template.decode_tokens,
-                        allowed_outputs: Vec::new(),
-                        arrival: now,
-                        routing: decision.reason,
-                    };
-                    self.instances[instance_idx].enqueue_with_hashes(
-                        request,
-                        routed_hashes.get_mut(idx).and_then(Option::take),
-                        now,
-                    );
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Admit(instance_idx) => {
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Complete {
-                    instance,
-                    request_id,
-                } => {
-                    if let Some(record) = self.instances[instance].complete(request_id, now) {
-                        records.push(record);
-                    }
-                    Self::admit(&mut self.instances[instance], instance, now, events);
-                }
-            }
-        }
-    }
-
-    /// Routes one replay window's arrivals (see the module docs): captures the
-    /// deterministic [`RouterSnapshot`] of the window-start state and runs the
-    /// configured policy over every arrival in `(arrival time, trace index)` order,
-    /// folding each decision back into the snapshot's load model so balancing works
-    /// within the window.
-    ///
-    /// State-independent policies can skip the pass entirely: on an arrival-sorted
-    /// trace stamped with [`workload::StickySeq`], the sticky policy partitions
-    /// arithmetically via [`RoutingPolicy::route_sorted_trace`].
-    ///
-    /// `sorted` is carried in from the caller's single feasibility scan
-    /// ([`Self::scan_trace`], or the construction-time property of a
-    /// [`SortedTrace`]) — the window pass no longer re-derives it per call.
-    fn route_window(&mut self, arrivals: &[ArrivalPattern], sorted: bool) -> RoutedWindow {
-        let num_instances = self.instances.len();
-        if sorted {
-            if let Some(decisions) = self.router.route_sorted_trace(arrivals, num_instances) {
-                debug_assert_eq!(decisions.len(), arrivals.len());
-                return RoutedWindow {
-                    decisions,
-                    order: None,
-                    hashes: Vec::new(),
-                };
-            }
-        }
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        if !sorted {
-            order.sort_by_key(|&idx| (arrivals[idx].arrival, idx));
-        }
-
-        let (mut decisions, mut routed_hashes) = self.routing_buffers(arrivals.len());
-        self.route_ordered(arrivals, &order, &mut decisions, &mut routed_hashes);
-        RoutedWindow {
-            decisions,
-            order: Some(order),
-            hashes: routed_hashes,
-        }
-    }
-
-    /// Allocates the per-window routing buffers [`Self::route_ordered`] fills in: a
-    /// decision per trace index (defaulted to `Direct`, overwritten by the pass) and
-    /// — only when the policy probes — a hash-chain slot per trace index.
-    #[allow(clippy::type_complexity)]
-    fn routing_buffers(
-        &self,
-        num_arrivals: usize,
-    ) -> (
-        Vec<RoutingDecision>,
-        Vec<Option<Arc<Vec<kvcache::TokenBlockHash>>>>,
-    ) {
-        let decisions = vec![
-            RoutingDecision {
-                instance: 0,
-                reason: RoutingReason::Direct,
-            };
-            num_arrivals
-        ];
-        let hashes = vec![
-            None;
-            if self.router.needs_prefix_probe() {
-                num_arrivals
-            } else {
-                0
-            }
-        ];
-        (decisions, hashes)
-    }
-
-    /// The core routing pass shared by the whole-window slow path and the per-epoch
-    /// path: captures a [`RouterSnapshot`] of the *current* instance state and routes
-    /// the arrivals listed in `order` (which must already be sorted by
-    /// `(arrival time, trace index)`), writing each decision — and the hash chain
-    /// computed for probing, if any — at its trace index.
-    fn route_ordered(
-        &mut self,
-        arrivals: &[ArrivalPattern],
-        order: &[usize],
-        decisions: &mut [RoutingDecision],
-        routed_hashes: &mut [Option<Arc<Vec<kvcache::TokenBlockHash>>>],
-    ) {
-        let num_instances = self.instances.len();
-        let needs_probe = self.router.needs_prefix_probe();
-        let block_size = self.config.block_size;
-        let mut snapshot = self.capture_snapshot(Vec::new(), Vec::new());
-
-        // Same cold-fleet fast path as `route_stream_epoch`: no resident block
-        // anywhere means every chain walk is 0, so the chains need not exist.
-        let hashing = needs_probe && snapshot.has_prefix_residency();
-        for &idx in order {
-            let arrival = &arrivals[idx];
-            let hashes =
-                hashing.then(|| Arc::new(hash_token_blocks(&arrival.template.tokens, block_size)));
-            let query = RouteQuery {
-                user_id: arrival.template.user_id,
-                num_tokens: arrival.template.num_tokens(),
-                hashes: hashes.as_deref().map_or(&[], Vec::as_slice),
-            };
-            let decision = self.router.route(&query, &snapshot);
-            assert!(
-                decision.instance < num_instances,
-                "routing policy chose instance {} of {num_instances}",
-                decision.instance
-            );
-            snapshot.note_routed(decision.instance, arrival.template.num_tokens());
-            decisions[idx] = decision;
-            if let Some(hashes) = hashes {
-                routed_hashes[idx] = Some(hashes);
-            }
-        }
-    }
-
     /// Whether replay windows are subdivided into propagation epochs.  The delay is
     /// a property of the shared network tier, so with the tier disabled the knob is
-    /// inert — there is nothing to propagate, and taking the epoch path anyway
-    /// would change the routing-snapshot cadence of the tierless baseline an
-    /// ablation compares against.
+    /// inert — there is nothing to propagate, and cutting epochs anyway would
+    /// change the routing-snapshot cadence of the tierless baseline an ablation
+    /// compares against.
     fn uses_propagation_epochs(&self) -> bool {
         self.config.net_propagation_ms > 0 && self.net_pool.is_some()
     }
 
-    /// Whether the next replay must take the epoch loop even without propagation
+    /// Whether the next replay must cut epoch boundaries even without propagation
     /// epochs: pending membership events, a configured autoscaler, or a fleet
     /// that is not uniformly active (draining slots need epoch boundaries to
     /// retire) all require boundaries to apply changes at.
@@ -1642,8 +1385,8 @@ impl Cluster {
     }
 
     /// Whether any live (non-retired) slot carries a dedicated phase role.  Such
-    /// fleets always replay through the epoch loop: the KV handoff plane needs
-    /// boundaries to surface transfers at, even with propagation epochs disabled.
+    /// fleets always cut epoch boundaries: the KV handoff plane needs boundaries
+    /// to surface transfers at, even with propagation epochs disabled.
     fn fleet_disaggregated(&self) -> bool {
         self.slot_states.iter().enumerate().any(|(slot, state)| {
             !matches!(state, SlotState::Retired)
@@ -1809,10 +1552,6 @@ impl Cluster {
                     self.reset_autoscaler_cooldown();
                 }
             }
-        }
-        if changed {
-            let routable = self.prefill_capable_slots();
-            self.router.note_membership_change(&routable);
         }
         changed
     }
@@ -1999,8 +1738,8 @@ impl Cluster {
     }
 
     /// Installs the publish-time-filtered view of the shared tier for the
-    /// propagation epoch starting at `visible_at` (see [`NetKvPool::view_at`] and
-    /// the legacy [`NetKvPool::visible_snapshot`] it replaces).  When the caller
+    /// propagation epoch starting at `visible_at` (see [`NetKvPool::view_at`]).
+    /// When the caller
     /// proved the boundary changed nobody's visible set (`content_unchanged`, see
     /// [`Self::run_stream_core`]'s guard), the installs keep every instance's
     /// routing-probe memoisation warm.
@@ -2078,20 +1817,6 @@ impl Cluster {
             });
         }
         Ok(())
-    }
-
-    /// Runs one instance's private event loop over its arrival partition.
-    fn simulate_instance(
-        instance: &mut EngineInstance,
-        partition: &[PartitionEntry],
-    ) -> Vec<RequestRecord> {
-        let mut events: EventQueue<InstanceEvent> = EventQueue::new();
-        for (pos, entry) in partition.iter().enumerate() {
-            events.push(entry.arrival, InstanceEvent::Arrival(pos));
-        }
-        let mut records = Vec::with_capacity(partition.len());
-        Self::simulate_instance_until(instance, partition, &mut events, &mut records, None);
-        records
     }
 
     /// Runs one instance's private event loop strictly up to `boundary` (forever
@@ -2751,28 +2476,13 @@ mod tests {
 
     /// Regression pin: the refactored `StickyUser` policy reproduces the
     /// pre-refactor `UserRouter` byte for byte on an existing e2e trace — the same
-    /// per-user instance assignment (round-robin in order of first appearance) with
-    /// both the stamped fast path and the hash-map slow path, which must also agree
-    /// with each other record-for-record.
+    /// per-user instance assignment (round-robin in order of first appearance).
     #[test]
     fn sticky_policy_is_byte_identical_to_the_pre_refactor_router() {
         let ds = small_post_rec_dataset();
         let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(2));
-        assert!(arrivals.iter().all(|a| a.sticky.is_some()));
-
-        // The slow path: strip the trace-generation stamps so the policy must run
-        // its windowed UserRouter pass.
-        let mut unstamped = arrivals.clone();
-        for arrival in &mut unstamped {
-            arrival.sticky = None;
-        }
-
         let config = config(EngineKind::prefillonly_default());
-        let fast = Cluster::new(&config).run(&arrivals, 5.0).unwrap();
-        let slow = Cluster::new(&config).run(&unstamped, 5.0).unwrap();
-        assert_eq!(fast.records, slow.records);
-        assert_eq!(fast.cache, slow.cache);
-        assert_eq!(fast.makespan, slow.makespan);
+        let report = Cluster::new(&config).run(&arrivals, 5.0).unwrap();
 
         // Both must equal the §7.1 reference router applied in `(arrival, idx)`
         // order — the exact pre-refactor routing.
@@ -2785,7 +2495,7 @@ mod tests {
             let instance = reference.route(user);
             expected.insert(idx as u64, instance);
         }
-        for record in &fast.records {
+        for record in &report.records {
             assert_eq!(record.instance, expected[&record.request_id]);
             assert!(matches!(
                 record.routing,
@@ -2934,72 +2644,6 @@ mod tests {
         assert_eq!(cluster.net_pool().unwrap().resident_blocks(), 0);
     }
 
-    /// Spliced/truncated traces silently leave the sticky arithmetic fast path:
-    /// whatever inconsistency the stamps carry — duplicated ranks, a cut-out user,
-    /// a stamped head on an unstamped tail — the fallback must replay
-    /// record-identical to the same trace with every stamp stripped (the slow
-    /// path), because stamps are a routing accelerator, never a routing *input*.
-    #[test]
-    fn sticky_fallback_on_inconsistent_stamps_is_record_identical_to_the_slow_path() {
-        let ds = small_post_rec_dataset();
-        let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(2));
-        assert!(arrivals.iter().all(|a| a.sticky.is_some()));
-
-        let splice = |mutate: &dyn Fn(&mut Vec<ArrivalPattern>)| {
-            let mut spliced = arrivals.clone();
-            mutate(&mut spliced);
-            spliced
-        };
-        let cases: Vec<(&str, Vec<ArrivalPattern>)> = vec![
-            (
-                "duplicate user_seq",
-                splice(&|trace| {
-                    // Re-stamp the second distinct user's arrivals with rank 0, as a
-                    // head-on splice of two traces would.
-                    let first_user = trace[0].template.user_id;
-                    for arrival in trace.iter_mut() {
-                        if arrival.template.user_id != first_user {
-                            if let Some(sticky) = &mut arrival.sticky {
-                                sticky.user_seq = 0;
-                            }
-                        }
-                    }
-                }),
-            ),
-            (
-                "non-contiguous ranks",
-                splice(&|trace| {
-                    // Drop every arrival of the rank-0 user — a truncated trace whose
-                    // remaining firsts start at rank 1.
-                    let first_user = trace[0].template.user_id;
-                    trace.retain(|a| a.template.user_id != first_user);
-                }),
-            ),
-            (
-                "stamped-then-unstamped",
-                splice(&|trace| {
-                    let half = trace.len() / 2;
-                    for arrival in &mut trace[half..] {
-                        arrival.sticky = None;
-                    }
-                }),
-            ),
-        ];
-
-        let config = config(EngineKind::prefillonly_default());
-        for (name, spliced) in cases {
-            let mut unstamped = spliced.clone();
-            for arrival in &mut unstamped {
-                arrival.sticky = None;
-            }
-            let fallback = Cluster::new(&config).run(&spliced, 5.0).unwrap();
-            let slow = Cluster::new(&config).run(&unstamped, 5.0).unwrap();
-            assert_eq!(fallback.records, slow.records, "{name}");
-            assert_eq!(fallback.cache, slow.cache, "{name}");
-            assert_eq!(fallback.makespan, slow.makespan, "{name}");
-        }
-    }
-
     /// The configuration validation boundary: a deployment with zero instances is a
     /// typed error from [`Cluster::try_new`], not a panic from deep inside the
     /// router.
@@ -3088,7 +2732,7 @@ mod tests {
 
     /// Without a shared tier the streamed replay chunks purely for bounded memory;
     /// under sticky routing (cadence-independent decisions) it must replay the
-    /// window path's records exactly, and parallel must match sequential.
+    /// single-window replay's records exactly, and parallel must match sequential.
     #[test]
     fn tierless_stream_replay_matches_the_window_replay_under_sticky_routing() {
         let ds = small_post_rec_dataset();
@@ -3490,42 +3134,33 @@ mod tests {
         }
     }
 
-    /// Regression (the sticky fast-path bug): `user_seq % n` arithmetic silently
-    /// misroutes once `n` changes mid-trace, so a membership event must retire
-    /// both sticky fast paths permanently.  Pinned by replaying a fully stamped
-    /// trace across a drain and requiring record-identity with the same trace
-    /// stripped of every stamp (the slow path), plus the direct property that no
-    /// post-drain arrival lands on the drained slot.
+    /// Sticky routing across a drain: users pinned to the drained slot re-pin to
+    /// a survivor, so no post-drain arrival lands on the drained slot, and the
+    /// threaded replay stays record-identical to the sequential reference.
     #[test]
-    fn membership_retires_the_sticky_fast_paths_record_identical_to_the_slow_path() {
+    fn sticky_routing_never_targets_a_drained_slot() {
         use workload::MembershipEvent;
         let ds = small_post_rec_dataset();
         let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(2));
-        assert!(arrivals.iter().all(|a| a.sticky.is_some()));
-        let mut unstamped = arrivals.clone();
-        for arrival in &mut unstamped {
-            arrival.sticky = None;
-        }
         let schedule = MembershipSchedule::new(vec![MembershipEvent {
             at: SimTime::ZERO + SimDuration::from_millis(2_000),
             change: MembershipChange::Drain { spill: false },
         }]);
 
         let config = config(EngineKind::prefillonly_default());
-        let mut fast = Cluster::new(&config);
-        fast.schedule_membership(schedule.clone());
-        let a = fast.run(&arrivals, 5.0).unwrap();
-        let mut slow = Cluster::new(&config);
-        slow.schedule_membership(schedule);
-        let b = slow.run(&unstamped, 5.0).unwrap();
+        let mut parallel = Cluster::new(&config);
+        parallel.schedule_membership(schedule.clone());
+        let a = parallel.run(&arrivals, 5.0).unwrap();
+        let mut sequential = Cluster::new(&config);
+        sequential.schedule_membership(schedule);
+        let b = sequential.run_sequential(&arrivals, 5.0).unwrap();
         assert_eq!(a.records, b.records);
         assert_eq!(a.cache, b.cache);
         assert_eq!(a.makespan, b.makespan);
 
-        // The drain actually bit mid-trace, and nothing was misrouted onto the
-        // drained slot afterwards (the bug would keep sending `user_seq % 2 == 1`
-        // users there).
-        let log = fast.membership_log();
+        // The drain actually bit mid-trace, and nothing was routed onto the
+        // drained slot afterwards.
+        let log = parallel.membership_log();
         assert_eq!(log.len(), 1);
         let (applied, drained) = (log[0].at, log[0].slot);
         let post_drain: Vec<_> = a.records.iter().filter(|r| r.arrival >= applied).collect();

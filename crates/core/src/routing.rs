@@ -8,33 +8,31 @@
 //! deepest link-cost-discounted prefix hit (the sglang radix-cache router's idea), and
 //! [`RoutingPolicyKind::LeastLoaded`] balances on modelled load alone.
 //!
-//! # Windowed routing and determinism
+//! # Per-epoch routing and determinism
 //!
 //! State-dependent routing breaks the instance-independence the parallel replay relies
-//! on — a decision taken mid-window would have to observe another thread's simulation
+//! on — a decision taken mid-epoch would have to observe another thread's simulation
 //! state.  The routing layer therefore mirrors the network tier's snapshot-merge
-//! discipline: at the start of each replay window ([`crate::Cluster::run`] /
-//! `run_sequential`) the cluster captures a [`RouterSnapshot`] — per-instance queue
-//! depth and outstanding tokens, plus (for policies that ask) a frozen three-tier
-//! [`PrefixProbe`] of each instance's KV manager — and routes *every* arrival of the
-//! window against that snapshot, in `(arrival time, trace index)` order, before any
-//! instance simulates.  The snapshot's load half is updated with the policy's own
-//! decisions as the pass proceeds (so balancing works within a window); the probe half
-//! stays frozen (cache effects propagate between windows, exactly like the shared
-//! network pool).  Both replay paths call the same pass, so the partition — and hence
-//! the replay — is byte-identical no matter how many threads simulate it.
+//! discipline: at the start of each replay epoch (a whole window when the replay has
+//! no epoch boundaries, see [`crate::Cluster::run`]) the cluster captures a
+//! [`RouterSnapshot`] — per-instance queue depth and outstanding tokens, the routable
+//! slots, plus (for policies that ask) a frozen three-tier [`PrefixProbe`] of each
+//! instance's KV manager — and routes *every* arrival of the epoch against that
+//! snapshot, in `(arrival time, trace index)` order, before any instance simulates.
+//! The snapshot's load half is updated with the policy's own decisions as the pass
+//! proceeds (so balancing works within an epoch); the probe half stays frozen (cache
+//! effects propagate between epochs, exactly like the shared network pool).  Both
+//! replay flavours call the same pass, so the partition — and hence the replay — is
+//! byte-identical no matter how many threads simulate it.
 //!
-//! Sticky routing needs no snapshot at all: it is a pure function of user
-//! first-appearance order, which trace generation precomputes
-//! ([`workload::StickySeq`]).  On a stamped, arrival-sorted trace the sticky policy
-//! partitions with plain arithmetic and skips the windowed pass entirely.
+//! Sticky routing reads only the snapshot's routable slots: its assignment is a pure
+//! function of user first-appearance order and of which slots can take arrivals.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use kvcache::{PrefixProbe, TokenBlockHash};
-use workload::{ArrivalPattern, StreamedArrival};
 
 /// Why routing could not be set up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +81,6 @@ impl RoutingPolicyKind {
         Ok(match self {
             RoutingPolicyKind::StickyUser => Box::new(StickyUserPolicy {
                 router: UserRouter::new(num_instances).expect("checked above"),
-                rank_users: Vec::new(),
-                elastic: false,
             }),
             RoutingPolicyKind::LeastLoaded => Box::new(LeastLoadedPolicy),
             RoutingPolicyKind::CacheAware => Box::new(CacheAwarePolicy),
@@ -130,7 +126,7 @@ pub struct InstanceLoad {
     pub outstanding_tokens: u64,
 }
 
-/// The deterministic per-window view routing policies decide against (see the module
+/// The deterministic per-epoch view routing policies decide against (see the module
 /// docs for the lifecycle).
 ///
 /// In the current full-drain replay windows every instance is idle between `run`
@@ -290,7 +286,7 @@ pub struct RouteQuery<'a> {
     pub hashes: &'a [TokenBlockHash],
 }
 
-/// A routing policy: maps arrivals onto instances against a per-window
+/// A routing policy: maps arrivals onto instances against a per-epoch
 /// [`RouterSnapshot`] (see the module docs for the determinism contract).
 ///
 /// Policies may keep internal state across windows (sticky assignments persist for
@@ -307,126 +303,16 @@ pub trait RoutingPolicy: Send {
         false
     }
 
-    /// Routes one arrival.  Called once per arrival of the window, in
+    /// Routes one arrival.  Called once per arrival of the epoch, in
     /// `(arrival time, trace index)` order; the caller folds each decision into the
     /// snapshot's load model via [`RouterSnapshot::note_routed`].
     fn route(&mut self, query: &RouteQuery<'_>, snapshot: &RouterSnapshot) -> RoutingDecision;
-
-    /// Whole-trace fast path for state-independent policies: given an
-    /// arrival-sorted trace, return every decision at once, or `None` to take the
-    /// windowed [`Self::route`] pass.  The default has no fast path.
-    fn route_sorted_trace(
-        &mut self,
-        _arrivals: &[ArrivalPattern],
-        _num_instances: usize,
-    ) -> Option<Vec<RoutingDecision>> {
-        None
-    }
-
-    /// Per-epoch batch fast path, the streaming counterpart of
-    /// [`Self::route_sorted_trace`]: route one arrival-sorted epoch of a stream at
-    /// once, writing into `decisions[..batch.len()]`, or return `false` to take
-    /// the windowed [`Self::route`] pass.  Unlike the whole-trace path, the stamps
-    /// of a batch may *extend* history the policy accumulated from earlier epochs
-    /// of the same stream — this is what keeps the arithmetic partition alive
-    /// across epoch boundaries.  The default has no fast path.
-    fn route_stamped_batch(
-        &mut self,
-        _batch: &[StreamedArrival],
-        _num_instances: usize,
-        _decisions: &mut [RoutingDecision],
-    ) -> bool {
-        false
-    }
-
-    /// Notifies the policy that the fleet's routable slots changed (a membership
-    /// event was applied at an epoch boundary).  `routable` is the new ascending
-    /// slot list.  Stateless policies need nothing — they read
-    /// [`RouterSnapshot::routable`] each pass; the sticky policy uses this to
-    /// *permanently* retire its arithmetic `user_seq % n` fast path, whose modulus
-    /// silently diverges from round-robin over a resized fleet.
-    fn note_membership_change(&mut self, _routable: &[usize]) {}
 }
 
 /// The [`RoutingPolicyKind::StickyUser`] policy: §7.1 user-id routing over a
-/// [`UserRouter`], with the arithmetic fast path over traces stamped with
-/// [`workload::StickySeq`].
+/// [`UserRouter`], restricted to the snapshot's routable slots.
 struct StickyUserPolicy {
     router: UserRouter,
-    /// Users in order of first appearance — the rank → user table the stamp fast
-    /// paths validate against.  Maintained by *every* routing path (slow-path
-    /// `route` included), which is sound because round-robin assignment in
-    /// first-appearance order always pins the `r`-th distinct user to
-    /// `r % num_instances`; epoch batches whose stamps extend this history can
-    /// therefore keep fast-pathing after a slow-path window.
-    rank_users: Vec<u64>,
-    /// Set (permanently) by the first membership event.  The arithmetic fast path
-    /// computes `user_seq % num_instances` — the round-robin outcome over the fleet
-    /// the trace was *stamped* for.  Once the fleet has resized, that modulus
-    /// silently disagrees with round-robin over the surviving slots (and can even
-    /// name a drained instance), so every later epoch must take the slot-aware
-    /// slow path.
-    elastic: bool,
-}
-
-impl StickyUserPolicy {
-    /// Validates that every arrival is stamped and that the stamps consistently
-    /// *extend* the router's first-appearance history: new firsts ranked
-    /// `known, known+1, ...` in order by distinct unseen users, and every repeat
-    /// pointing at its own user's rank.  Returns the new first-appearing users in
-    /// order, without mutating anything — a spliced or hand-edited trace fails
-    /// here and takes the slow path from an untouched router.
-    fn validate_stamps<'b>(
-        &self,
-        arrivals: impl Iterator<Item = &'b ArrivalPattern>,
-    ) -> Option<Vec<u64>> {
-        let known = self.rank_users.len();
-        let mut new_firsts: Vec<u64> = Vec::new();
-        let mut distinct_firsts: HashSet<u64> = HashSet::new();
-        for arrival in arrivals {
-            let sticky = arrival.sticky?;
-            let user = arrival.template.user_id;
-            if sticky.first_of_user {
-                if sticky.user_seq != (known + new_firsts.len()) as u64
-                    || self.router.is_known(user)
-                    || !distinct_firsts.insert(user)
-                {
-                    return None;
-                }
-                new_firsts.push(user);
-            } else {
-                let rank = sticky.user_seq as usize;
-                let expected = if rank < known {
-                    self.rank_users.get(rank)
-                } else {
-                    new_firsts.get(rank - known)
-                };
-                if expected != Some(&user) {
-                    return None;
-                }
-            }
-        }
-        Some(new_firsts)
-    }
-
-    /// Pins a newly first-appearing user at the next rank (the arithmetic
-    /// round-robin outcome) and records it in the rank table.
-    fn seed_first(&mut self, user: u64) {
-        let instance = self.rank_users.len() % self.router.num_instances();
-        self.router.seed(user, instance);
-        self.rank_users.push(user);
-    }
-
-    fn arithmetic_decision(sticky: workload::StickySeq, num_instances: usize) -> RoutingDecision {
-        RoutingDecision {
-            instance: (sticky.user_seq % num_instances as u64) as usize,
-            reason: if sticky.first_of_user {
-                RoutingReason::StickyNew
-            } else {
-                RoutingReason::StickyExisting
-            },
-        }
-    }
 }
 
 impl RoutingPolicy for StickyUserPolicy {
@@ -434,94 +320,19 @@ impl RoutingPolicy for StickyUserPolicy {
         RoutingPolicyKind::StickyUser
     }
 
+    /// Slot-aware stickiness: users keep their pin while it stays routable;
+    /// users pinned to a drained slot (and new users) take the next routable
+    /// slot round-robin.  On the full slot list `0..n` this is exactly
+    /// [`UserRouter::route`].
     fn route(&mut self, query: &RouteQuery<'_>, snapshot: &RouterSnapshot) -> RoutingDecision {
-        if self.elastic {
-            // Slot-aware stickiness over a resized fleet: users keep their pin
-            // while it stays routable; users pinned to a drained slot (and new
-            // users) take the next routable slot round-robin.
-            let known = self.router.is_known(query.user_id);
-            let instance = self.router.route_slots(query.user_id, snapshot.routable());
-            let reason = if known {
-                RoutingReason::StickyExisting
-            } else {
-                self.rank_users.push(query.user_id);
-                RoutingReason::StickyNew
-            };
-            debug_assert_eq!(self.rank_users.len(), self.router.known_users());
-            return RoutingDecision { instance, reason };
-        }
-        let known = self.router.known_users();
-        let instance = self.router.route(query.user_id);
-        let reason = if self.router.known_users() > known {
-            self.rank_users.push(query.user_id);
-            RoutingReason::StickyNew
-        } else {
+        let known = self.router.is_known(query.user_id);
+        let instance = self.router.route_slots(query.user_id, snapshot.routable());
+        let reason = if known {
             RoutingReason::StickyExisting
+        } else {
+            RoutingReason::StickyNew
         };
-        debug_assert_eq!(self.rank_users.len(), self.router.known_users());
         RoutingDecision { instance, reason }
-    }
-
-    /// The arrival-partitioning fast path: on a trace where every arrival carries a
-    /// [`workload::StickySeq`] stamp consistent with the router's accumulated
-    /// first-appearance history, the assignment of every request is
-    /// `user_seq % num_instances` — no per-request hash-map traffic, just one seed
-    /// insert per *new* distinct user so later windows (and unstamped traces)
-    /// continue from exactly the state the slow path would have left.
-    fn route_sorted_trace(
-        &mut self,
-        arrivals: &[ArrivalPattern],
-        num_instances: usize,
-    ) -> Option<Vec<RoutingDecision>> {
-        if self.elastic {
-            return None;
-        }
-        let new_firsts = self.validate_stamps(arrivals.iter())?;
-        let decisions = arrivals
-            .iter()
-            .map(|arrival| {
-                let sticky = arrival.sticky.expect("validated above");
-                Self::arithmetic_decision(sticky, num_instances)
-            })
-            .collect();
-        for user in new_firsts {
-            self.seed_first(user);
-        }
-        Some(decisions)
-    }
-
-    /// The epoch-batch counterpart of [`Self::route_sorted_trace`]: same
-    /// validation, but stamps may extend earlier epochs' history, so the second
-    /// and later epochs of a stamped stream keep the arithmetic partition.
-    fn route_stamped_batch(
-        &mut self,
-        batch: &[StreamedArrival],
-        num_instances: usize,
-        decisions: &mut [RoutingDecision],
-    ) -> bool {
-        debug_assert_eq!(batch.len(), decisions.len());
-        if self.elastic {
-            return false;
-        }
-        let Some(new_firsts) = self.validate_stamps(batch.iter().map(|s| &s.arrival)) else {
-            return false;
-        };
-        for (streamed, slot) in batch.iter().zip(decisions.iter_mut()) {
-            let sticky = streamed.arrival.sticky.expect("validated above");
-            *slot = Self::arithmetic_decision(sticky, num_instances);
-        }
-        for user in new_firsts {
-            self.seed_first(user);
-        }
-        true
-    }
-
-    /// The sticky fast-path fix for elastic fleets: `user_seq % n` was stamped for
-    /// the fleet the trace was generated against; after the first resize it would
-    /// silently misroute (or target a drained slot), so the arithmetic path is
-    /// retired for good and every later arrival takes the slot-aware slow path.
-    fn note_membership_change(&mut self, _routable: &[usize]) {
-        self.elastic = true;
     }
 }
 
@@ -653,15 +464,6 @@ impl UserRouter {
         self.assignment.insert(user_id, slot);
         self.next = (self.next + 1) % slots.len();
         slot
-    }
-
-    /// Pins a new user to an instance directly (the sticky fast path, which already
-    /// knows the round-robin outcome from the trace's first-appearance ranks) and
-    /// advances the round-robin cursor exactly as [`Self::route`] would have.
-    fn seed(&mut self, user_id: u64, instance: usize) {
-        debug_assert_eq!(instance, self.next, "seeded order must match round-robin");
-        self.assignment.insert(user_id, instance);
-        self.next = (self.next + 1) % self.num_instances;
     }
 
     /// Number of instances behind the router.
@@ -904,245 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn sticky_fast_path_accepts_consistent_stamps_and_rejects_inconsistent_ones() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq};
-
-        let arrival = |user: u64, at_ms: u64, sticky: Option<StickySeq>| ArrivalPattern {
-            template: RequestTemplate {
-                user_id: user,
-                tokens: Arc::new(vec![0; 32]),
-                shared_prefix_tokens: 0,
-                decode_tokens: 0,
-            },
-            arrival: SimTime::from_millis(at_ms),
-            sticky,
-        };
-        let stamp = |user_seq: u64, first_of_user: bool| {
-            Some(StickySeq {
-                user_seq,
-                first_of_user,
-            })
-        };
-
-        // Consistent: firsts ranked 0, 1 and repeats pointing at their own rank.
-        let good = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(9, 10, stamp(1, true)),
-            arrival(7, 20, stamp(0, false)),
-        ];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        let decisions = policy
-            .route_sorted_trace(&good, 2)
-            .expect("consistent stamps take the fast path");
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1, 0]
-        );
-
-        // A user stamped "first" twice would split their requests across instances;
-        // the fast path must refuse and leave the router untouched.
-        let duplicate_first = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(7, 10, stamp(1, true)),
-        ];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(policy.route_sorted_trace(&duplicate_first, 2).is_none());
-        // ... and because nothing was seeded, a later window still fast-paths.
-        assert!(policy.route_sorted_trace(&good, 2).is_some());
-
-        // A repeat stamped with another user's rank is likewise refused.
-        let wrong_rank = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(9, 10, stamp(1, true)),
-            arrival(9, 20, stamp(0, false)),
-        ];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(policy.route_sorted_trace(&wrong_rank, 2).is_none());
-
-        // Unstamped arrivals always take the slow path.
-        let unstamped = vec![arrival(7, 0, None)];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(policy.route_sorted_trace(&unstamped, 2).is_none());
-    }
-
-    /// Spliced/truncated-trace edges of the arithmetic fast path: every stamp
-    /// inconsistency a cut-and-paste of generated traces can produce must be
-    /// detected *before* anything is seeded, so the slow path starts from a clean
-    /// router.
-    #[test]
-    fn sticky_fast_path_rejects_spliced_and_truncated_stamps() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq};
-
-        let arrival = |user: u64, at_ms: u64, sticky: Option<StickySeq>| ArrivalPattern {
-            template: RequestTemplate {
-                user_id: user,
-                tokens: Arc::new(vec![0; 32]),
-                shared_prefix_tokens: 0,
-                decode_tokens: 0,
-            },
-            arrival: SimTime::from_millis(at_ms),
-            sticky,
-        };
-        let stamp = |user_seq: u64, first_of_user: bool| {
-            Some(StickySeq {
-                user_seq,
-                first_of_user,
-            })
-        };
-
-        let cases: Vec<(&str, Vec<ArrivalPattern>)> = vec![
-            (
-                // Two *different* users stamped first with the same rank (a splice
-                // of two traces' heads): rank 0 repeats.
-                "duplicate user_seq across distinct users",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(9, 10, stamp(0, true)),
-                ],
-            ),
-            (
-                // The same user stamped first twice (their requests would split).
-                "duplicate first stamp of one user",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(7, 10, stamp(1, true)),
-                ],
-            ),
-            (
-                // A trace whose middle user was cut out: ranks jump 0 → 2.
-                "non-contiguous first-appearance ranks",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(9, 10, stamp(2, true)),
-                ],
-            ),
-            (
-                // A truncated trace that lost a user's first arrival: the repeat
-                // points at a rank nobody claimed.
-                "repeat stamp without its first",
-                vec![arrival(9, 0, stamp(0, false))],
-            ),
-            (
-                // Stamped head spliced onto an unstamped tail.
-                "stamped-then-unstamped arrivals",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(9, 10, stamp(1, true)),
-                    arrival(7, 20, None),
-                ],
-            ),
-        ];
-        let consistent = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(9, 10, stamp(1, true)),
-            arrival(7, 20, stamp(0, false)),
-        ];
-        for (name, trace) in cases {
-            let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-            assert!(
-                policy.route_sorted_trace(&trace, 2).is_none(),
-                "{name} must fall back to the slow path"
-            );
-            // Rejection must not have seeded anything: a later consistent window
-            // still takes the fast path from rank 0.
-            assert!(
-                policy.route_sorted_trace(&consistent, 2).is_some(),
-                "{name} must leave the router untouched"
-            );
-        }
-    }
-
-    /// The streaming counterpart of the whole-trace fast path: a stamped stream
-    /// split into epochs must keep the arithmetic partition across epoch
-    /// boundaries (where the whole-trace path would bail because users are
-    /// already pinned), and the decisions must match the slow path's.
-    #[test]
-    fn sticky_batch_fast_path_extends_across_epochs() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq, StreamedArrival};
-
-        let streamed =
-            |id: u64, user: u64, at_ms: u64, user_seq: u64, first: bool| StreamedArrival {
-                id,
-                arrival: ArrivalPattern {
-                    template: RequestTemplate {
-                        user_id: user,
-                        tokens: Arc::new(vec![0; 32]),
-                        shared_prefix_tokens: 0,
-                        decode_tokens: 0,
-                    },
-                    arrival: SimTime::from_millis(at_ms),
-                    sticky: Some(StickySeq {
-                        user_seq,
-                        first_of_user: first,
-                    }),
-                },
-            };
-        let epoch1 = vec![
-            streamed(0, 70, 0, 0, true),
-            streamed(1, 90, 5, 1, true),
-            streamed(2, 70, 9, 0, false),
-        ];
-        // Epoch 2 extends the history: a repeat of rank 1 plus a new user at rank 2.
-        let epoch2 = vec![streamed(3, 90, 20, 1, false), streamed(4, 55, 24, 2, true)];
-
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        let noop = RoutingDecision {
-            instance: 0,
-            reason: RoutingReason::Direct,
-        };
-        let mut decisions = vec![noop; epoch1.len()];
-        assert!(policy.route_stamped_batch(&epoch1, 2, &mut decisions));
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1, 0]
-        );
-
-        let mut decisions = vec![noop; epoch2.len()];
-        assert!(
-            policy.route_stamped_batch(&epoch2, 2, &mut decisions),
-            "stamps extending earlier epochs' history must keep the fast path"
-        );
-        assert_eq!(
-            decisions
-                .iter()
-                .map(|d| (d.instance, d.reason))
-                .collect::<Vec<_>>(),
-            vec![
-                (1, RoutingReason::StickyExisting),
-                (0, RoutingReason::StickyNew),
-            ]
-        );
-
-        // A batch restarting ranks at 0 (a fresh trace) must fall back...
-        let fresh = vec![streamed(5, 7_000, 30, 0, true)];
-        let mut decisions = vec![noop; fresh.len()];
-        assert!(!policy.route_stamped_batch(&fresh, 2, &mut decisions));
-
-        // ... and after slow-path routing, stamps that extend the *combined*
-        // history (3 firsts so far + slow-routed user 7000 = next rank 4) still
-        // fast-path: the rank table is maintained by every routing path.
-        let snapshot = snapshot_with_loads(vec![InstanceLoad::default(); 2]);
-        let d = policy.route(&query(7_000, 32), &snapshot);
-        assert_eq!((d.instance, d.reason), (1, RoutingReason::StickyNew));
-        let resumed = vec![
-            streamed(6, 11, 40, 4, true),
-            streamed(7, 7_000, 44, 3, false),
-        ];
-        let mut decisions = vec![noop; resumed.len()];
-        assert!(policy.route_stamped_batch(&resumed, 2, &mut decisions));
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-    }
-
-    #[test]
     fn load_policies_route_only_over_routable_slots() {
         use kvcache::hash_token_blocks;
 
@@ -1197,57 +760,15 @@ mod tests {
     }
 
     #[test]
-    fn membership_change_retires_the_sticky_fast_path_and_repins_drained_users() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq, StreamedArrival};
-
-        let streamed =
-            |id: u64, user: u64, at_ms: u64, user_seq: u64, first: bool| StreamedArrival {
-                id,
-                arrival: ArrivalPattern {
-                    template: RequestTemplate {
-                        user_id: user,
-                        tokens: Arc::new(vec![0; 32]),
-                        shared_prefix_tokens: 0,
-                        decode_tokens: 0,
-                    },
-                    arrival: SimTime::from_millis(at_ms),
-                    sticky: Some(StickySeq {
-                        user_seq,
-                        first_of_user: first,
-                    }),
-                },
-            };
+    fn sticky_policy_repins_users_of_drained_slots() {
         let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        let noop = RoutingDecision {
-            instance: 0,
-            reason: RoutingReason::Direct,
-        };
 
-        // Pre-resize: users 10 → slot 0, 20 → slot 1 via the arithmetic fast path.
-        let epoch1 = vec![streamed(0, 10, 0, 0, true), streamed(1, 20, 5, 1, true)];
-        let mut decisions = vec![noop; epoch1.len()];
-        assert!(policy.route_stamped_batch(&epoch1, 2, &mut decisions));
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
+        // Full fleet: users 10 → slot 0, 20 → slot 1.
+        let snapshot = snapshot_with_loads(vec![InstanceLoad::default(); 2]);
+        assert_eq!(policy.route(&query(10, 32), &snapshot).instance, 0);
+        assert_eq!(policy.route(&query(20, 32), &snapshot).instance, 1);
 
-        // Slot 1 drains out.  Even perfectly consistent stamps must now refuse the
-        // fast path — `user_seq % n` would route rank-1 users onto the leaver.
-        policy.note_membership_change(&[0]);
-        let epoch2 = vec![streamed(2, 20, 10, 1, false), streamed(3, 30, 12, 2, true)];
-        let mut decisions = vec![noop; epoch2.len()];
-        assert!(
-            !policy.route_stamped_batch(&epoch2, 2, &mut decisions),
-            "resized fleets must take the slot-aware slow path"
-        );
-        assert!(policy
-            .route_sorted_trace(&[epoch2[0].arrival.clone()], 2)
-            .is_none());
-
-        // Slow path: user 20's pin (slot 1) is gone → re-pinned to a routable slot,
+        // Slot 1 drains out: user 20's pin is gone → re-pinned to a routable slot,
         // still labelled an existing user; user 10 keeps slot 0.
         let snapshot =
             snapshot_with_loads(vec![InstanceLoad::default(); 2]).with_routable_slots(vec![0]);

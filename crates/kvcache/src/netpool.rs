@@ -524,21 +524,10 @@ impl NetKvPool {
         }
     }
 
-    /// Clones the pool filtered to what instance `owner` may read during the
-    /// propagation epoch starting at `visible_at`: entries already published by
-    /// then, plus `owner`'s *own* spills regardless of publish time — the
-    /// window-boundary model keeps an instance's own spills readable all window,
-    /// and a propagation delay models fabric latency to *other* nodes, not a node
-    /// forgetting its own writes.  Entries that another instance published after
-    /// virtual time zero (i.e. spilled earlier in the *same* replay window —
-    /// [`Self::settle`] zeroes everything older at window start) are flagged as
-    /// propagated, so their reloads can be accounted as wins of the within-window
-    /// propagation model; `owner`'s own spills never are.  Spills recorded into
-    /// the snapshot during the epoch carry `owner` as their origin.
-    ///
-    /// This is the legacy dense install; the replay pipeline now uses
-    /// [`Self::view_at`] and keeps this as the reference the property suite pins
-    /// the views against.
+    /// The dense twin of [`Self::view_at`]: clones the pool with the same
+    /// visibility filter applied.  The replay pipeline installs views; this full
+    /// clone stays as the reference the view property tests pin them against.
+    #[cfg(test)]
     pub fn visible_snapshot(&self, visible_at: SimTime, owner: usize) -> NetKvPool {
         let mut state = NetState {
             generation: self.state.generation,
@@ -576,9 +565,17 @@ impl NetKvPool {
         NetPoolView::cow(self, None, self.owner)
     }
 
-    /// A copy-on-write view filtered like [`Self::visible_snapshot`]: instance
-    /// `owner` reads entries published by `visible_at` plus its own spills, with
-    /// mid-window propagated entries flagged for reload accounting.
+    /// A copy-on-write view filtered to what instance `owner` may read during the
+    /// propagation epoch starting at `visible_at`: entries already published by
+    /// then, plus `owner`'s *own* spills regardless of publish time — the
+    /// window-boundary model keeps an instance's own spills readable all window,
+    /// and a propagation delay models fabric latency to *other* nodes, not a node
+    /// forgetting its own writes.  Entries that another instance published after
+    /// virtual time zero (i.e. spilled earlier in the *same* replay window —
+    /// [`Self::settle`] zeroes everything older at window start) are flagged as
+    /// propagated, so their reloads can be accounted as wins of the within-window
+    /// propagation model; `owner`'s own spills never are.  Spills recorded into
+    /// the view during the epoch carry `owner` as their origin.
     pub fn view_at(&self, visible_at: SimTime, owner: usize) -> NetPoolView {
         NetPoolView::cow(self, Some(visible_at), Some(owner))
     }
