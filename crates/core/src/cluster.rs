@@ -29,9 +29,11 @@
 //!
 //! * **The unbounded clock.**  A materialised trace on a deployment that needs no
 //!   boundaries (no propagation epochs, no membership changes, no disaggregated
-//!   roles) is one epoch that never ends: routed once against the window-start
-//!   snapshot, simulated to completion, its tier snapshots installed and merged
-//!   once.  Such a replay records no window samples.
+//!   roles) is one epoch that never ends: every arrival, whatever its time, is
+//!   pulled into it, routed once against the window-start snapshot and simulated
+//!   to completion, its tier snapshots installed and merged once.  Such a replay
+//!   records no window samples.  One private helper, `replay_clock`, decides
+//!   which clock a replay gets.
 //! * **The epoch clock** ([`EpochLengthPolicy`]).  Propagation epochs cut at
 //!   [`EngineConfig::net_propagation_ms`]; a stream without them is chunked
 //!   towards a fixed arrival count per chunk, for bounded memory only.  The next
@@ -263,8 +265,8 @@ impl EpochClock {
     }
 
     /// The clock of a single-window replay: one epoch that never ends, so every
-    /// arrival is routed against the window-start snapshot and the epoch is
-    /// simulated to completion.
+    /// arrival (even one at [`END_OF_TIME`]) is routed against the window-start
+    /// snapshot and the epoch is simulated to completion.
     fn unbounded() -> EpochClock {
         EpochClock {
             policy: EpochLengthPolicy::Fixed,
@@ -870,7 +872,7 @@ impl Cluster {
         stream: &mut S,
         offered_qps: f64,
     ) -> Result<RunReport, RunError> {
-        let clock = self.stream_clock();
+        let clock = self.replay_clock(false);
         self.run_stream_core(stream, clock, offered_qps, true)
     }
 
@@ -880,15 +882,13 @@ impl Cluster {
         stream: &mut S,
         offered_qps: f64,
     ) -> Result<RunReport, RunError> {
-        let clock = self.stream_clock();
+        let clock = self.replay_clock(false);
         self.run_stream_core(stream, clock, offered_qps, false)
     }
 
     /// The shared materialised-trace replay: the slice streams through
-    /// [`Self::run_stream_core`].  Deployments that need epoch boundaries
-    /// (propagation epochs, membership changes, a disaggregated fleet) cut the
-    /// same boundaries as [`Self::run_stream`]; everything else replays as one
-    /// window on the unbounded clock.
+    /// [`Self::run_stream_core`] on the clock [`Self::replay_clock`] picks for a
+    /// materialised trace.
     fn run_vec(
         &mut self,
         arrivals: &[ArrivalPattern],
@@ -901,14 +901,7 @@ impl Cluster {
         } else {
             SliceArrivalStream::sorting(arrivals)
         };
-        let clock = if self.uses_propagation_epochs()
-            || self.elastic_replay()
-            || self.fleet_disaggregated()
-        {
-            self.stream_clock()
-        } else {
-            EpochClock::unbounded()
-        };
+        let clock = self.replay_clock(true);
         self.run_stream_core(&mut stream, clock, offered_qps, parallel)
             .expect("feasibility is checked before streaming a slice")
     }
@@ -985,7 +978,7 @@ impl Cluster {
             }
             epoch_buf.clear();
             while let Some(streamed) = lookahead.take() {
-                if streamed.arrival.arrival >= boundary {
+                if !clock.is_unbounded() && streamed.arrival.arrival >= boundary {
                     lookahead = Some(streamed);
                     break;
                 }
@@ -1157,12 +1150,13 @@ impl Cluster {
         Ok(self.finish_report(records, offered_qps))
     }
 
-    /// The epoch clock of one streamed replay: epoch-sharing deployments cut at the
-    /// configured propagation delay (adapted per [`EpochLengthPolicy`]); everything
-    /// else chunks purely for bounded arrival memory, self-pacing towards
-    /// [`STREAM_CHUNK_TARGET_ARRIVALS`] arrivals per chunk unless the configuration
-    /// asks for specific adaptive bounds.
-    fn stream_clock(&self) -> EpochClock {
+    /// The epoch clock of one replay: epoch-sharing deployments cut at the
+    /// configured propagation delay (adapted per [`EpochLengthPolicy`]).  A
+    /// `materialised` trace on a fixed, colocated fleet replays as one unbounded
+    /// epoch.  Everything else chunks purely for bounded arrival memory,
+    /// self-pacing towards [`STREAM_CHUNK_TARGET_ARRIVALS`] arrivals per chunk
+    /// unless the configuration asks for specific adaptive bounds.
+    fn replay_clock(&self, materialised: bool) -> EpochClock {
         // A disaggregated fleet's KV handoffs ride the same inter-node fabric as
         // published spills, so the propagation delay sets the boundary cadence
         // even when the shared KV tier itself is disabled — otherwise the
@@ -1172,6 +1166,9 @@ impl Cluster {
             || (self.fleet_disaggregated() && self.config.net_propagation_ms > 0)
         {
             return EpochClock::new(self.config.net_propagation_ms, self.config.epoch_length);
+        }
+        if materialised && !self.elastic_replay() && !self.fleet_disaggregated() {
+            return EpochClock::unbounded();
         }
         let policy = match self.config.epoch_length {
             adaptive @ EpochLengthPolicy::Adaptive { .. } => adaptive,

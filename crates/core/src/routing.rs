@@ -28,6 +28,7 @@
 //! Sticky routing reads only the snapshot's routable slots: its assignment is a pure
 //! function of user first-appearance order and of which slots can take arrivals.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -325,8 +326,7 @@ impl RoutingPolicy for StickyUserPolicy {
     /// slot round-robin.  On the full slot list `0..n` this is exactly
     /// [`UserRouter::route`].
     fn route(&mut self, query: &RouteQuery<'_>, snapshot: &RouterSnapshot) -> RoutingDecision {
-        let known = self.router.is_known(query.user_id);
-        let instance = self.router.route_slots(query.user_id, snapshot.routable());
+        let (instance, known) = self.router.pin(query.user_id, snapshot.routable());
         let reason = if known {
             RoutingReason::StickyExisting
         } else {
@@ -451,19 +451,31 @@ impl UserRouter {
     ///
     /// Panics if `slots` is empty.
     pub fn route_slots(&mut self, user_id: u64, slots: &[usize]) -> usize {
+        self.pin(user_id, slots).0
+    }
+
+    /// [`Self::route_slots`], also reporting whether `user_id` was pinned before
+    /// the call — with a single map lookup.
+    fn pin(&mut self, user_id: u64, slots: &[usize]) -> (usize, bool) {
         assert!(
             !slots.is_empty(),
             "routing needs at least one routable slot"
         );
-        if let Some(&slot) = self.assignment.get(&user_id) {
-            if slots.binary_search(&slot).is_ok() {
-                return slot;
+        let next = &mut self.next;
+        let mut next_slot = || {
+            let slot = slots[*next % slots.len()];
+            *next = (*next + 1) % slots.len();
+            slot
+        };
+        match self.assignment.entry(user_id) {
+            Entry::Occupied(mut pinned) => {
+                if slots.binary_search(pinned.get()).is_err() {
+                    pinned.insert(next_slot());
+                }
+                (*pinned.get(), true)
             }
+            Entry::Vacant(new) => (*new.insert(next_slot()), false),
         }
-        let slot = slots[self.next % slots.len()];
-        self.assignment.insert(user_id, slot);
-        self.next = (self.next + 1) % slots.len();
-        slot
     }
 
     /// Number of instances behind the router.
