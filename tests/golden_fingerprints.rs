@@ -17,14 +17,16 @@ use std::fmt::Write as _;
 
 use gpu::{GpuKind, HardwareSetup, LinkKind, NetLinkKind};
 use model::ModelPreset;
-use prefillonly::{Cluster, EngineConfig, EngineKind, RoutingPolicyKind, RunReport};
+use prefillonly::{
+    AutoscalerPolicy, Cluster, EngineConfig, EngineKind, RoutingPolicyKind, RunReport,
+};
 use prefillonly_bench::scenarios;
 use simcore::{SimRng, SimTime};
 use workload::{
-    assign_poisson_arrivals_with, conversation_trace, ArrivalGranularity, ArrivalPattern,
-    ConversationSpec, ConversationStream, Dataset, InstanceRole, MembershipChange, MembershipEvent,
-    MembershipSchedule, PostRecommendationSpec, SharedPrefixFleetSpec, SharedPrefixFleetStream,
-    SortedTrace,
+    assign_poisson_arrivals, assign_poisson_arrivals_with, conversation_trace, ArrivalGranularity,
+    ArrivalPattern, ConversationSpec, ConversationStream, Dataset, InstanceRole, MembershipChange,
+    MembershipEvent, MembershipSchedule, PostRecommendationSpec, SharedPrefixFleetSpec,
+    SharedPrefixFleetStream, SortedTrace,
 };
 
 /// FNV-1a over everything written into it.
@@ -168,6 +170,7 @@ fn postrec_window_replays_under_every_policy() {
 
 #[test]
 fn sorted_trace_and_fleet_stream_replays() {
+    const FLEET: u64 = 0xc406_1070_808f_43c6;
     let mut pins = Pins::default();
 
     let (config, arrivals) = postrec_trace(ArrivalGranularity::PerRequest);
@@ -207,17 +210,19 @@ fn sorted_trace_and_fleet_stream_replays() {
         .run_stream(&mut stream, 500.0)
         .unwrap();
     assert_eq!(report.records.len(), 20_000);
-    pins.check(
-        "fleet run_stream 64 instances",
-        &report,
-        0xc406_1070_808f_43c6,
-    );
+    pins.check("fleet run_stream 64 instances", &report, FLEET);
+    let mut stream = SharedPrefixFleetStream::new(spec, 500.0, 11);
+    let report = Cluster::new(&config)
+        .run_stream_sequential(&mut stream, 500.0)
+        .unwrap();
+    pins.check("fleet run_stream_sequential 64 instances", &report, FLEET);
     pins.finish();
 }
 
-/// The three-tier pressure deployment: a squeezed GPU pool, a CPU tier of about
-/// one profile and a shared network tier, over interleaved per-request arrivals.
-fn three_tier_trace() -> (EngineConfig, Vec<ArrivalPattern>) {
+/// The offload pressure deployment: a squeezed GPU pool and a CPU tier of
+/// `cpu_bytes`, over interleaved per-request arrivals, so user profiles spill
+/// between a user's requests and reload on their return.
+fn pressure_trace(cpu_bytes: u64) -> (EngineConfig, Vec<ArrivalPattern>) {
     let spec = PostRecommendationSpec {
         num_users: 6,
         posts_per_user: 8,
@@ -238,11 +243,31 @@ fn three_tier_trace() -> (EngineConfig, Vec<ArrivalPattern>) {
         dataset.max_request_tokens(),
     );
     config.memory_utilization = 0.70;
-    let config = config
-        .with_cpu_offload(768 << 20)
-        .with_net_kv(64 << 30)
-        .with_window_metrics();
+    let config = config.with_cpu_offload(cpu_bytes).with_window_metrics();
     (config, arrivals)
+}
+
+/// The three-tier pressure deployment: [`pressure_trace`] with a CPU tier of
+/// about one profile and a shared network tier, so reused profile blocks
+/// cascade CPU → net.
+fn three_tier_trace() -> (EngineConfig, Vec<ArrivalPattern>) {
+    let (config, arrivals) = pressure_trace(768 << 20);
+    (config.with_net_kv(64 << 30), arrivals)
+}
+
+#[test]
+fn cpu_offload_pressure() {
+    const CPU_ONLY: u64 = 0x584a_b064_465e_6301;
+    let (config, arrivals) = pressure_trace(64 << 30);
+    let mut pins = Pins::default();
+    let a = Cluster::new(&config).run(&arrivals, 3.0).unwrap();
+    assert!(a.offload.reloaded_blocks > 0);
+    pins.check("cpu offload run", &a, CPU_ONLY);
+    let b = Cluster::new(&config)
+        .run_sequential(&arrivals, 3.0)
+        .unwrap();
+    pins.check("cpu offload run_sequential", &b, CPU_ONLY);
+    pins.finish();
 }
 
 #[test]
@@ -274,6 +299,96 @@ fn three_tiers_with_and_without_propagation_epochs() {
             );
         }
     }
+    pins.finish();
+}
+
+#[test]
+fn adaptive_epochs_over_two_windows() {
+    let (config, arrivals) = three_tier_trace();
+    // Target 2 arrivals per epoch under ~6 per epoch of load, so the clock
+    // halves towards its minimum during the replay.
+    let config = config
+        .with_routing(RoutingPolicyKind::CacheAware)
+        .with_net_propagation_ms(2_000)
+        .with_adaptive_epochs(2, 250, 8_000);
+    let mut pins = Pins::default();
+    let mut parallel = Cluster::new(&config);
+    let mut sequential = Cluster::new(&config);
+    for (window, expected) in [0x4c69_54fd_f173_a75f, 0x9ba1_bab0_bbad_235c]
+        .into_iter()
+        .enumerate()
+    {
+        let a = parallel.run(&arrivals, 3.0).unwrap();
+        pins.check(
+            &format!("adaptive epochs run window {window}"),
+            &a,
+            expected,
+        );
+        let b = sequential.run_sequential(&arrivals, 3.0).unwrap();
+        pins.check(
+            &format!("adaptive epochs run_sequential window {window}"),
+            &b,
+            expected,
+        );
+    }
+    pins.finish();
+}
+
+#[test]
+fn autoscaler_scale_up() {
+    const AUTOSCALED: u64 = 0x4538_cfbf_70cd_9c5c;
+    let (config, arrivals) = three_tier_trace();
+    let config = config
+        .with_net_propagation_ms(2_000)
+        .with_autoscaler(AutoscalerPolicy {
+            scale_up_outstanding_tokens: 1,
+            scale_down_outstanding_tokens: 0,
+            cooldown_epochs: 1,
+            min_instances: 1,
+            max_instances: 4,
+        });
+    let mut pins = Pins::default();
+    let mut parallel = Cluster::new(&config);
+    let a = parallel.run(&arrivals, 3.0).unwrap();
+    assert!(parallel.num_active_instances() > 2);
+    pins.check("autoscaler run", &a, AUTOSCALED);
+    let mut sequential = Cluster::new(&config);
+    let b = sequential.run_sequential(&arrivals, 3.0).unwrap();
+    assert_eq!(parallel.membership_log(), sequential.membership_log());
+    pins.check("autoscaler run_sequential", &b, AUTOSCALED);
+    pins.finish();
+}
+
+#[test]
+fn single_instance_tensor_parallel() {
+    const TENSOR_PARALLEL: u64 = 0x77ad_9d6e_74a7_952b;
+    let spec = PostRecommendationSpec {
+        num_users: 4,
+        posts_per_user: 6,
+        post_tokens: 150,
+        profile_mean_tokens: 4_000.0,
+        profile_std_tokens: 500.0,
+        profile_min_tokens: 3_000,
+        profile_max_tokens: 5_000,
+    };
+    let dataset = Dataset::post_recommendation(&spec, &mut SimRng::seed_from_u64(7));
+    let arrivals = assign_poisson_arrivals(&dataset, 10.0, &mut SimRng::seed_from_u64(9));
+    let config = EngineConfig::new(
+        ModelPreset::Llama31_8b,
+        HardwareSetup::l4_pair(),
+        EngineKind::TensorParallel,
+        6_000,
+    )
+    .with_window_metrics();
+    let mut pins = Pins::default();
+    let mut parallel = Cluster::new(&config);
+    assert_eq!(parallel.instances().len(), 1);
+    let a = parallel.run(&arrivals, 10.0).unwrap();
+    pins.check("tensor parallel run", &a, TENSOR_PARALLEL);
+    let b = Cluster::new(&config)
+        .run_sequential(&arrivals, 10.0)
+        .unwrap();
+    pins.check("tensor parallel run_sequential", &b, TENSOR_PARALLEL);
     pins.finish();
 }
 
