@@ -46,17 +46,16 @@
 //!   merged once at the end.
 //!
 //! No event ever crosses instances within an epoch: an `Admit` or `Complete` event
-//! only touches the instance that produced it.  The parallel flavour therefore
-//! simulates each instance's loop on a persistent worker pool and merges the
-//! records deterministically; the result is *identical* (records, makespan, cache
-//! statistics) to the single-threaded interleaved loop of
-//! [`Cluster::run_sequential`], enforced by the
-//! `parallel_run_is_identical_to_sequential` test.  Why the per-instance loops are
-//! sound: within one instance, the global loop pops that instance's events in
-//! `(time, push order)` — and the per-instance loop pushes the same events in the
-//! same relative order, because an instance's pushes happen only while handling
-//! that same instance's events.  Projecting the global FIFO-within-timestamp order
-//! onto one instance therefore yields exactly the per-instance order.
+//! only touches the instance that produced it.  Each epoch therefore fills one
+//! *lane* per slot — the slot's partition of the routed arrivals and its private
+//! event queue — and simulates every lane independently up to the boundary.  The
+//! parallel flavour hands the lanes to a persistent worker pool; the sequential
+//! flavour ([`Cluster::run_sequential`] and friends) runs the same lanes inline,
+//! in slot order, on the calling thread.  Records are sorted into one canonical
+//! order at the end, so both flavours produce *identical* reports (records,
+//! makespan, cache statistics), enforced by the
+//! `parallel_run_is_identical_to_sequential` tests; the absolute output is pinned
+//! by `tests/golden_fingerprints.rs`.
 //!
 //! # Propagation epochs (`net_propagation_ms > 0`)
 //!
@@ -72,7 +71,7 @@
 //!    queued work over from earlier epochs; prefix probes are re-captured,
 //!    incrementally, instead of staying frozen for the whole window);
 //! 3. the per-instance loops simulate strictly up to the epoch boundary — pending
-//!    events beyond it stay queued — and the boundary is a barrier: every thread
+//!    events beyond it stay queued — and the boundary is a barrier: every lane
 //!    reaches it before the per-instance tier snapshots merge back into the shared
 //!    pool, deterministically in instance-id order, and the next epoch begins.
 //!
@@ -165,17 +164,6 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// The request at this position of the current epoch's batch reaches its
-    /// instance.
-    Arrival(usize),
-    /// An instance may be able to admit another request.
-    Admit(usize),
-    /// A running request finishes on an instance.
-    Complete { instance: usize, request_id: u64 },
-}
 
 /// Event of one instance's private loop (the instance is implicit).
 #[derive(Debug, Clone, Copy)]
@@ -598,8 +586,8 @@ pub struct Cluster {
     retired_cache: CacheStats,
     retired_offload: OffloadStats,
     /// The persistent worker pool of the parallel replay flavour: spawned lazily on
-    /// the first multi-instance parallel window and reused across every epoch and
-    /// window thereafter (replacing per-epoch thread spawn/teardown).
+    /// the first parallel epoch and reused across every epoch and window
+    /// thereafter (replacing per-epoch thread spawn/teardown).
     worker_pool: Option<WorkerPool>,
     /// In-flight prefill→decode KV handoffs of the disaggregation plane, ordered
     /// by `(ready_at, request_id)`; drained at epoch boundaries exactly like
@@ -794,7 +782,7 @@ impl Cluster {
     /// `offered_qps` is recorded in the report for plotting; the arrival times
     /// themselves already encode the offered load.
     ///
-    /// Replicated deployments are simulated with one OS thread per instance (see the
+    /// Each instance's lane is simulated on the cluster's worker pool (see the
     /// module docs); the report is identical to [`Self::run_sequential`].
     pub fn run(
         &mut self,
@@ -806,10 +794,10 @@ impl Cluster {
         Ok(self.run_vec(arrivals, sorted, offered_qps, true))
     }
 
-    /// The single-threaded reference implementation of [`Self::run`]: one global event
-    /// loop interleaving all instances, exactly as the seed simulator ran.  Kept
-    /// public so tests (and sceptical experimenters) can verify that the parallel path
-    /// is behaviour-preserving.
+    /// The single-threaded flavour of [`Self::run`]: the same per-instance lanes,
+    /// run inline in slot order on the calling thread.  Kept public so tests (and
+    /// sceptical experimenters) can check the worker pool and the record merge
+    /// against it.
     pub fn run_sequential(
         &mut self,
         arrivals: &[ArrivalPattern],
@@ -936,20 +924,19 @@ impl Cluster {
         let mut scratch = RoutingScratch::new();
         let mut epoch_buf: Vec<StreamedArrival> = Vec::new();
 
-        // Parallel flavour state: per-instance queues/partitions/records.
+        // Per-slot lane state: each instance's event queue, its partition of the
+        // current epoch's arrivals and, for the parallel flavour, the records the
+        // lane completed this epoch (moved to `records` at the barrier; the
+        // sequential flavour's lanes append to `records` directly).
         let mut queues: Vec<EventQueue<InstanceEvent>> =
             (0..num_instances).map(|_| EventQueue::new()).collect();
         let mut partitions: Vec<Vec<PartitionEntry>> =
             (0..num_instances).map(|_| Vec::new()).collect();
-        let mut per_instance: Vec<Vec<RequestRecord>> =
+        let mut lane_records: Vec<Vec<RequestRecord>> =
             (0..num_instances).map(|_| Vec::new()).collect();
-        // Sequential flavour state: one global queue and record list.
-        let mut events: EventQueue<Event> = EventQueue::new();
         let mut records: Vec<RequestRecord> = Vec::new();
-        if !parallel {
-            if let Some(hint) = stream.len_hint() {
-                records.reserve(hint as usize);
-            }
+        if let Some(hint) = stream.len_hint() {
+            records.reserve(hint as usize);
         }
 
         let max_input_length = self.max_input_length();
@@ -973,7 +960,7 @@ impl Cluster {
                 while queues.len() < self.instances.len() {
                     queues.push(EventQueue::new());
                     partitions.push(Vec::new());
-                    per_instance.push(Vec::new());
+                    lane_records.push(Vec::new());
                 }
             }
             epoch_buf.clear();
@@ -1028,73 +1015,60 @@ impl Cluster {
             }
             self.route_stream_epoch(&epoch_buf, &mut scratch);
 
+            // Partitions are refilled per epoch (every prior arrival event was
+            // consumed before its boundary); Complete/Admit events crossing the
+            // boundary carry no partition positions, so clearing is safe.
+            for partition in &mut partitions {
+                partition.clear();
+            }
+            for (pos, streamed) in epoch_buf.iter().enumerate() {
+                let decision = scratch.decisions[pos];
+                let partition = &mut partitions[decision.instance];
+                partition.push(PartitionEntry {
+                    request_id: streamed.id,
+                    reason: decision.reason,
+                    hashes: scratch.take_hashes(pos),
+                    user_id: streamed.arrival.template.user_id,
+                    tokens: Arc::clone(&streamed.arrival.template.tokens),
+                    decode_tokens: streamed.arrival.template.decode_tokens,
+                });
+                queues[decision.instance].push(
+                    streamed.arrival.arrival,
+                    InstanceEvent::Arrival(partition.len() - 1),
+                );
+            }
+            let lane_inputs = self.instances.iter_mut().zip(&partitions).zip(&mut queues);
             if parallel {
-                // Partitions are refilled per epoch (every prior arrival event was
-                // consumed before its boundary); Complete/Admit events crossing the
-                // boundary carry no partition positions, so clearing is safe.
-                for partition in &mut partitions {
-                    partition.clear();
-                }
-                for (pos, streamed) in epoch_buf.iter().enumerate() {
-                    let decision = scratch.decisions[pos];
-                    let partition = &mut partitions[decision.instance];
-                    partition.push(PartitionEntry {
-                        request_id: streamed.id,
-                        reason: decision.reason,
-                        hashes: scratch.take_hashes(pos),
-                        user_id: streamed.arrival.template.user_id,
-                        tokens: Arc::clone(&streamed.arrival.template.tokens),
-                        decode_tokens: streamed.arrival.template.decode_tokens,
-                    });
-                    queues[decision.instance].push(
-                        streamed.arrival.arrival,
-                        InstanceEvent::Arrival(partition.len() - 1),
-                    );
-                }
-                if self.instances.len() == 1 {
-                    Self::simulate_instance_until(
-                        &mut self.instances[0],
-                        &partitions[0],
-                        &mut queues[0],
-                        &mut per_instance[0],
-                        sim_boundary,
-                    );
-                } else {
-                    if self.worker_pool.is_none() {
-                        self.worker_pool = Some(WorkerPool::new());
-                    }
-                    let pool = self.worker_pool.as_ref().expect("just ensured above");
-                    let jobs: Vec<ScopedJob> = self
-                        .instances
-                        .iter_mut()
-                        .zip(&partitions)
-                        .zip(&mut queues)
-                        .zip(&mut per_instance)
-                        .map(|(((instance, partition), queue), instance_records)| {
-                            Box::new(move || {
-                                Self::simulate_instance_until(
-                                    instance,
-                                    partition,
-                                    queue,
-                                    instance_records,
-                                    sim_boundary,
-                                );
-                            }) as ScopedJob
-                        })
-                        .collect();
-                    pool.run_batch(jobs);
+                let jobs: Vec<ScopedJob> = lane_inputs
+                    .zip(&mut lane_records)
+                    .map(|(((instance, partition), queue), lane)| {
+                        Box::new(move || {
+                            Self::simulate_instance_until(
+                                instance,
+                                partition,
+                                queue,
+                                lane,
+                                sim_boundary,
+                            );
+                        }) as ScopedJob
+                    })
+                    .collect();
+                self.worker_pool
+                    .get_or_insert_with(WorkerPool::new)
+                    .run_batch(jobs);
+                for lane in &mut lane_records {
+                    records.append(lane);
                 }
             } else {
-                for (pos, streamed) in epoch_buf.iter().enumerate() {
-                    events.push(streamed.arrival.arrival, Event::Arrival(pos));
+                for ((instance, partition), queue) in lane_inputs {
+                    Self::simulate_instance_until(
+                        instance,
+                        partition,
+                        queue,
+                        &mut records,
+                        sim_boundary,
+                    );
                 }
-                self.run_stream_events_until(
-                    &epoch_buf,
-                    &mut scratch,
-                    &mut events,
-                    &mut records,
-                    sim_boundary,
-                );
             }
 
             // The handoff plane: collect every KV handoff the epoch's prefill
@@ -1103,7 +1077,7 @@ impl Cluster {
             // whose fabric transfer has completed onto decode-capable slots.
             if disaggregated {
                 self.collect_handoffs();
-                self.dispatch_ready_handoffs(boundary, parallel, &mut queues, &mut events);
+                self.dispatch_ready_handoffs(boundary, &mut queues);
             }
             // Draining slots that reached the boundary idle retire now: the
             // drain-to-net spill publishes into the slot's installed snapshot
@@ -1125,7 +1099,6 @@ impl Cluster {
             if stream_done
                 && self.handoff_ledger.is_empty()
                 && queues.iter().all(EventQueue::is_empty)
-                && events.is_empty()
                 && self
                     .instances
                     .iter()
@@ -1140,13 +1113,6 @@ impl Cluster {
             self.merge_net_snapshots();
         }
         debug_assert!(queues.iter().all(EventQueue::is_empty));
-        debug_assert!(events.is_empty());
-
-        let records = if parallel {
-            per_instance.into_iter().flatten().collect()
-        } else {
-            records
-        };
         Ok(self.finish_report(records, offered_qps))
     }
 
@@ -1283,63 +1249,6 @@ impl Cluster {
         .with_routable_slots(self.prefill_capable_slots())
     }
 
-    /// The sequential flavour's global (all-instance) event loop over one epoch,
-    /// run strictly up to `boundary` (forever when `None`): arrival events index
-    /// the epoch's batch, decisions and hashes live in the scratch, and events at
-    /// or past the boundary stay queued for the next epoch.
-    fn run_stream_events_until(
-        &mut self,
-        batch: &[StreamedArrival],
-        scratch: &mut RoutingScratch,
-        events: &mut EventQueue<Event>,
-        records: &mut Vec<RequestRecord>,
-        boundary: Option<SimTime>,
-    ) {
-        while let Some(at) = events.peek_time() {
-            if boundary.is_some_and(|b| at >= b) {
-                break;
-            }
-            let scheduled = events.pop().expect("peeked event");
-            let now = scheduled.at;
-            match scheduled.event {
-                Event::Arrival(pos) => {
-                    let streamed = &batch[pos];
-                    let decision = scratch.decisions[pos];
-                    let instance_idx = decision.instance;
-                    let request = PrefillRequest {
-                        id: streamed.id,
-                        user_id: streamed.arrival.template.user_id,
-                        tokens: Arc::clone(&streamed.arrival.template.tokens),
-                        decode_tokens: streamed.arrival.template.decode_tokens,
-                        allowed_outputs: Vec::new(),
-                        arrival: now,
-                        routing: decision.reason,
-                    };
-                    self.instances[instance_idx].enqueue_with_hashes(
-                        request,
-                        scratch.take_hashes(pos),
-                        now,
-                    );
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Admit(instance_idx) => {
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Complete {
-                    instance,
-                    request_id,
-                } => {
-                    // `None` = a prefill-role first token whose record surfaces
-                    // on the decode side after the KV handoff.
-                    if let Some(record) = self.instances[instance].complete(request_id, now) {
-                        records.push(record);
-                    }
-                    Self::admit(&mut self.instances[instance], instance, now, events);
-                }
-            }
-        }
-    }
-
     /// Whether replay windows are subdivided into propagation epochs.  The delay is
     /// a property of the shared network tier, so with the tier disabled the knob is
     /// inert — there is nothing to propagate, and cutting epochs anyway would
@@ -1419,9 +1328,7 @@ impl Cluster {
     fn dispatch_ready_handoffs(
         &mut self,
         boundary: SimTime,
-        parallel: bool,
         queues: &mut [EventQueue<InstanceEvent>],
-        events: &mut EventQueue<Event>,
     ) {
         let ready = self.handoff_ledger.take_ready(boundary);
         if ready.is_empty() {
@@ -1444,20 +1351,10 @@ impl Cluster {
             match self.instances[target].admit_handoff(payload, boundary) {
                 HandoffAdmission::Admitted(started) => {
                     assigned[target] += tokens;
-                    if parallel {
-                        queues[target].push(
-                            started.completion,
-                            InstanceEvent::Complete(started.request_id),
-                        );
-                    } else {
-                        events.push(
-                            started.completion,
-                            Event::Complete {
-                                instance: target,
-                                request_id: started.request_id,
-                            },
-                        );
-                    }
+                    queues[target].push(
+                        started.completion,
+                        InstanceEvent::Complete(started.request_id),
+                    );
                 }
                 HandoffAdmission::Retry(payload) => {
                     self.handoff_payloads.insert(record.request_id, payload);
@@ -1845,16 +1742,16 @@ impl Cluster {
                         routing: entry.reason,
                     };
                     instance.enqueue_with_hashes(request, entry.hashes.clone(), now);
-                    Self::admit_local(instance, now, events);
+                    Self::admit(instance, now, events);
                 }
                 InstanceEvent::Admit => {
-                    Self::admit_local(instance, now, events);
+                    Self::admit(instance, now, events);
                 }
                 InstanceEvent::Complete(request_id) => {
                     if let Some(record) = instance.complete(request_id, now) {
                         records.push(record);
                     }
-                    Self::admit_local(instance, now, events);
+                    Self::admit(instance, now, events);
                 }
             }
         }
@@ -1884,56 +1781,21 @@ impl Cluster {
         }
     }
 
-    /// The shared admission loop of both event-loop flavours: starts as many requests
-    /// as the policy admits, then schedules a wake-up when the first stage frees if
-    /// work is still waiting.  Event construction is parameterised so the global loop
-    /// (instance-tagged events) and the per-instance loop (untagged events) cannot
-    /// drift apart.
-    fn pump_admissions<E>(
-        instance: &mut EngineInstance,
-        now: SimTime,
-        events: &mut EventQueue<E>,
-        completion_event: impl Fn(u64) -> E,
-        admit_event: impl Fn() -> E,
-    ) {
+    /// Starts as many requests as the policy admits, then schedules a wake-up
+    /// when the first stage frees if work is still waiting.
+    fn admit(instance: &mut EngineInstance, now: SimTime, events: &mut EventQueue<InstanceEvent>) {
         while let Some(started) = instance.try_start(now) {
-            events.push(started.completion, completion_event(started.request_id));
+            events.push(
+                started.completion,
+                InstanceEvent::Complete(started.request_id),
+            );
         }
-        // If requests are still waiting, wake up when the first stage frees.
         if instance.queue_len() > 0 {
             let wake = instance.next_admission_time();
             if wake > now {
-                events.push(wake, admit_event());
+                events.push(wake, InstanceEvent::Admit);
             }
         }
-    }
-
-    fn admit(
-        instance: &mut EngineInstance,
-        instance_idx: usize,
-        now: SimTime,
-        events: &mut EventQueue<Event>,
-    ) {
-        Self::pump_admissions(
-            instance,
-            now,
-            events,
-            |request_id| Event::Complete {
-                instance: instance_idx,
-                request_id,
-            },
-            || Event::Admit(instance_idx),
-        );
-    }
-
-    fn admit_local(
-        instance: &mut EngineInstance,
-        now: SimTime,
-        events: &mut EventQueue<InstanceEvent>,
-    ) {
-        Self::pump_admissions(instance, now, events, InstanceEvent::Complete, || {
-            InstanceEvent::Admit
-        });
     }
 
     fn aggregate_offload_stats(&self) -> OffloadStats {
@@ -2117,9 +1979,9 @@ mod tests {
         );
     }
 
-    /// Tentpole invariant: the threaded per-instance replay must be *identical* to the
-    /// single-threaded interleaved reference — same records (ids, timings, instances,
-    /// cache hits), same makespan, same aggregated cache statistics.
+    /// The worker-pool replay must be *identical* to the same lanes run inline on
+    /// one thread — same records (ids, timings, instances, cache hits), same
+    /// makespan, same aggregated cache statistics.
     #[test]
     fn parallel_run_is_identical_to_sequential() {
         let ds = small_post_rec_dataset();

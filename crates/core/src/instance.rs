@@ -263,8 +263,8 @@ pub struct EngineInstance {
     estimator: JctEstimator,
     retention: RetentionPolicy,
     queue: WaitingQueue,
-    pending_hashes: HashMap<u64, Arc<Vec<TokenBlockHash>>>,
-    pending_requests: HashMap<u64, PrefillRequest>,
+    /// Each waiting request and its block-hash chain, keyed by request id.
+    pending: HashMap<u64, (PrefillRequest, Arc<Vec<TokenBlockHash>>)>,
     /// Memoised cache-probe results per waiting request, keyed by the KV manager's
     /// generation counters.  `RefCell` because the probe is handed to the scheduling
     /// policy behind an immutable [`CacheProbe`] reference.
@@ -304,7 +304,7 @@ pub struct EngineInstance {
 /// previously hit depth when nothing was evicted).
 struct KvCacheProbe<'a> {
     kv: &'a KvCacheManager,
-    hashes: &'a HashMap<u64, Arc<Vec<TokenBlockHash>>>,
+    pending: &'a HashMap<u64, (PrefillRequest, Arc<Vec<TokenBlockHash>>)>,
     memo: &'a RefCell<ProbeCache>,
     cpu_hit_discount: f64,
     net_hit_discount: f64,
@@ -312,9 +312,9 @@ struct KvCacheProbe<'a> {
 
 impl CacheProbe for KvCacheProbe<'_> {
     fn cached_tokens(&self, request: &WaitingRequest) -> u64 {
-        self.hashes
+        self.pending
             .get(&request.id)
-            .map(|hashes| {
+            .map(|(_, hashes)| {
                 let hits = self
                     .memo
                     .borrow_mut()
@@ -381,8 +381,7 @@ impl EngineInstance {
             kv,
             retention,
             queue: WaitingQueue::new(),
-            pending_hashes: HashMap::new(),
-            pending_requests: HashMap::new(),
+            pending: HashMap::new(),
             probe_cache: RefCell::new(ProbeCache::new()),
             probe_snapshots: RefCell::new(PrefixProbeCache::new()),
             running: HashMap::new(),
@@ -614,8 +613,7 @@ impl EngineInstance {
             decode_tokens: request.decode_tokens,
             cached_tokens_at_arrival: cached_at_arrival,
         });
-        self.pending_hashes.insert(request.id, hashes);
-        self.pending_requests.insert(request.id, request);
+        self.pending.insert(request.id, (request, hashes));
     }
 
     /// Attempts to admit the next request according to the scheduling policy.
@@ -631,7 +629,7 @@ impl EngineInstance {
             let selected = {
                 let probe = KvCacheProbe {
                     kv: &self.kv,
-                    hashes: &self.pending_hashes,
+                    pending: &self.pending,
                     memo: &self.probe_cache,
                     cpu_hit_discount: self.cpu_hit_discount,
                     net_hit_discount: self.net_hit_discount,
@@ -640,12 +638,8 @@ impl EngineInstance {
             };
             let waiting = self.queue.remove(selected);
             self.probe_cache.borrow_mut().forget(waiting.id);
-            let hashes = self
-                .pending_hashes
-                .remove(&waiting.id)
-                .expect("waiting request must have a hash chain");
-            let request = self
-                .pending_requests
+            let (request, hashes) = self
+                .pending
                 .remove(&waiting.id)
                 .expect("waiting request must have a pending entry");
 
@@ -715,8 +709,7 @@ impl EngineInstance {
                     // blocks.  Put the request back and wait for a completion to free
                     // references (the cluster re-attempts admission on every event).
                     self.queue.push(waiting);
-                    self.pending_hashes.insert(waiting.id, hashes);
-                    self.pending_requests.insert(waiting.id, request);
+                    self.pending.insert(waiting.id, (request, hashes));
                     return None;
                 }
             };
@@ -743,13 +736,8 @@ impl EngineInstance {
 
             // Continuous batching (iteration-level scheduling): requests that are
             // still producing decode tokens at admission time form the decode batch
-            // this request joins.  `HashMap` iteration order is unspecified, but
-            // both uses below are order-independent (a count and a sum).
-            let batchmates: u64 = self
-                .running
-                .values()
-                .filter(|r| r.request.decode_tokens > 0 && !r.emit_handoff && r.completion > now)
-                .count() as u64;
+            // this request joins.
+            let batchmates = self.decode_batchmates(now).count() as u64;
             // Chunked prefill interleaves one decode iteration for the co-running
             // batch after each prefill chunk (Sarathi-style stall-free batching):
             // the new request's prefill pass stretches by the batchmates' decode
@@ -762,11 +750,7 @@ impl EngineInstance {
                 {
                     let chunks = prefill_new.div_ceil(chunk_tokens.max(1));
                     let per_iteration: SimDuration = self
-                        .running
-                        .values()
-                        .filter(|r| {
-                            r.request.decode_tokens > 0 && !r.emit_handoff && r.completion > now
-                        })
+                        .decode_batchmates(now)
                         .map(|r| {
                             self.executor
                                 .decode_step_time(r.request.prompt_tokens(), batchmates)
@@ -801,14 +785,12 @@ impl EngineInstance {
             // subsequent prefills via chunked interleaving rather than occupying
             // `stage_free_at` (the batched-iteration simplification: decode never
             // blocks admission, it stretches co-running work instead).
-            let mut decode_time = SimDuration::ZERO;
-            if !emit_handoff {
-                let batch = 1 + batchmates;
-                for step in 0..request.decode_tokens {
-                    decode_time += self.executor.decode_step_time(prompt_tokens + step, batch);
-                }
-                self.stats.busy += decode_time;
-            }
+            let decode_time = if emit_handoff {
+                SimDuration::ZERO
+            } else {
+                self.decode_time(prompt_tokens, request.decode_tokens, batchmates)
+            };
+            self.stats.busy += decode_time;
             let completion = first_token + decode_time;
 
             let request_id = request.id;
@@ -914,6 +896,28 @@ impl EngineInstance {
         Some(record)
     }
 
+    /// The running requests still producing decode tokens at `now`: the
+    /// continuous batch a newly admitted decode joins.  `HashMap` iteration order
+    /// is unspecified, so callers may only reduce it order-independently (a count
+    /// or a sum).
+    fn decode_batchmates(&self, now: SimTime) -> impl Iterator<Item = &RunningRequest> {
+        self.running
+            .values()
+            .filter(move |r| r.request.decode_tokens > 0 && !r.emit_handoff && r.completion > now)
+    }
+
+    /// The decode schedule of `decode_tokens` reply tokens after a prompt of
+    /// `prompt_tokens`: one forward pass per token, batched with `batchmates`
+    /// co-running decoders.
+    fn decode_time(&self, prompt_tokens: u64, decode_tokens: u64, batchmates: u64) -> SimDuration {
+        (0..decode_tokens)
+            .map(|step| {
+                self.executor
+                    .decode_step_time(prompt_tokens + step, 1 + batchmates)
+            })
+            .sum()
+    }
+
     /// Offers a handed-off chain to this (decode-capable) instance at an epoch
     /// boundary: reserves the whole chain via the [`SequenceGrowth`]-sized hash
     /// walk and prices the decode schedule against the co-running batch, exactly
@@ -945,17 +949,12 @@ impl EngineInstance {
                 return HandoffAdmission::Retry(handoff);
             }
         };
-        let batchmates: u64 = self
-            .running
-            .values()
-            .filter(|r| r.request.decode_tokens > 0 && !r.emit_handoff && r.completion > now)
-            .count() as u64;
-        let batch = 1 + batchmates;
-        let prompt_tokens = handoff.request.prompt_tokens();
-        let mut decode_time = SimDuration::ZERO;
-        for step in 0..handoff.request.decode_tokens {
-            decode_time += self.executor.decode_step_time(prompt_tokens + step, batch);
-        }
+        let batchmates = self.decode_batchmates(now).count() as u64;
+        let decode_time = self.decode_time(
+            handoff.request.prompt_tokens(),
+            handoff.request.decode_tokens,
+            batchmates,
+        );
         self.stats.busy += decode_time;
         let completion = now + decode_time;
         let request_id = handoff.request.id;

@@ -130,10 +130,11 @@ pub struct InstanceLoad {
 /// The deterministic per-epoch view routing policies decide against (see the module
 /// docs for the lifecycle).
 ///
-/// In the current full-drain replay windows every instance is idle between `run`
-/// calls, so the *captured* loads are zero and the load signal is driven entirely by
-/// [`Self::note_routed`] within the window; the capture exists so mid-trace windowing
-/// (and tests) see real queue state without an API change.
+/// The *captured* loads are the instances' live queue state at the epoch start:
+/// zero at the start of a single-window replay (every instance is idle between
+/// `run` calls), and the work carried over from earlier epochs otherwise.
+/// [`Self::note_routed`] adds the epoch's own decisions on top as the pass
+/// proceeds.
 #[derive(Debug)]
 pub struct RouterSnapshot {
     loads: Vec<InstanceLoad>,

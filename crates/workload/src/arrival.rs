@@ -13,9 +13,10 @@
 //!   describes, and is used by the scheduling-ablation experiments.
 
 use serde::{Deserialize, Serialize};
-use simcore::{PoissonProcess, SimRng, SimTime};
+use simcore::{SimRng, SimTime};
 
 use crate::dataset::{Dataset, RequestTemplate};
+use crate::stream::{ArrivalStream, PoissonArrivalStream};
 
 /// How arrivals are grouped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,6 +55,9 @@ pub fn assign_poisson_arrivals(
 /// Assigns Poisson arrival times at the chosen granularity such that the request rate
 /// averages `qps` queries per second.  The returned vector is sorted by arrival time.
 ///
+/// This is [`PoissonArrivalStream`] drained into a vector: the stream emits in event
+/// order by construction, so the two cannot drift apart.
+///
 /// # Panics
 ///
 /// Panics if `qps` is not strictly positive.
@@ -63,52 +67,12 @@ pub fn assign_poisson_arrivals_with(
     granularity: ArrivalGranularity,
     rng: &mut SimRng,
 ) -> Vec<ArrivalPattern> {
-    assert!(qps > 0.0, "QPS must be positive");
-    if dataset.is_empty() {
-        return Vec::new();
-    }
-    let mut arrivals = match granularity {
-        ArrivalGranularity::PerUser => per_user(dataset, qps, rng),
-        ArrivalGranularity::PerRequest => per_request(dataset, qps, rng),
-    };
-    arrivals.sort_by_key(|a| a.arrival);
-    arrivals
-}
-
-fn per_user(dataset: &Dataset, qps: f64, rng: &mut SimRng) -> Vec<ArrivalPattern> {
-    let mut user_ids: Vec<u64> = dataset.requests().iter().map(|r| r.user_id).collect();
-    user_ids.sort_unstable();
-    user_ids.dedup();
-    rng.shuffle(&mut user_ids);
-
-    let requests_per_user = dataset.len() as f64 / user_ids.len() as f64;
-    let user_rate = qps / requests_per_user;
-    let mut process = PoissonProcess::new(user_rate, rng.derive(0xA11A));
-
+    let mut stream = PoissonArrivalStream::new(dataset, qps, granularity, rng);
     let mut arrivals = Vec::with_capacity(dataset.len());
-    for user in user_ids {
-        let at = process.next_arrival();
-        for template in dataset.requests().iter().filter(|r| r.user_id == user) {
-            arrivals.push(ArrivalPattern {
-                template: template.clone(),
-                arrival: at,
-            });
-        }
+    while let Some(streamed) = stream.next_arrival() {
+        arrivals.push(streamed.arrival);
     }
     arrivals
-}
-
-fn per_request(dataset: &Dataset, qps: f64, rng: &mut SimRng) -> Vec<ArrivalPattern> {
-    let mut order: Vec<usize> = (0..dataset.len()).collect();
-    rng.shuffle(&mut order);
-    let mut process = PoissonProcess::new(qps, rng.derive(0xB22B));
-    order
-        .into_iter()
-        .map(|idx| ArrivalPattern {
-            template: dataset.requests()[idx].clone(),
-            arrival: process.next_arrival(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
