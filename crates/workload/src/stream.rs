@@ -695,6 +695,7 @@ mod tests {
             ArrivalGranularity::PerRequest,
             &mut SimRng::seed_from_u64(3),
         );
+        assert_eq!(stream.len_hint(), Some(dataset.len() as u64));
         let mut expected = 0u64;
         let mut last = SimTime::ZERO;
         while let Some(streamed) = stream.next_arrival() {
